@@ -22,6 +22,14 @@
 // the experiments layer enforces that by construction, and instrumented
 // runs never reach Do.
 //
+// Keys (KeyFor, KeyForOps) are a sha256 over a canonical binary encoding of
+// the inputs: fixed-width little-endian words for numbers and bools, float
+// bit patterns, length-prefixed strings, structs and arrays in declaration
+// order. Pointer, map, slice, func, interface, chan, unsafe.Pointer and
+// uintptr fields have no process-independent value and are refused with a
+// panic naming the field. Keys print as 32 hex characters, which also name
+// the disk tier's files.
+//
 // Three layers, mirroring workload's stream cache:
 //
 //   - an in-memory LRU (byte budget, default DefaultBudgetBytes) with
@@ -39,7 +47,9 @@ package repcache
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"sync"
 
@@ -48,15 +58,26 @@ import (
 )
 
 // keyFormatVersion invalidates every key when the key derivation itself
-// changes shape. It is hashed into each key.
-const keyFormatVersion = 1
+// changes shape. It is hashed into each key. Version 2 replaced the %#v
+// text rendering with the binary encoding below, so report files written
+// by version-1 builds are never looked up again (orphaned misses).
+const keyFormatVersion = 2
+
+// keyTypeDigest fingerprints the field names and types of everything a key
+// encodes. The binary encoding itself carries only values in declaration
+// order, so without it renaming, retyping or reordering a field could map a
+// new configuration onto a disk file written for a different one.
+var keyTypeDigest = sha256.Sum256([]byte(
+	schemaOf(reflect.TypeOf(cpu.Config{})) +
+		schemaOf(reflect.TypeOf(workload.Profile{})) +
+		schemaOf(reflect.TypeOf(workload.Op{}))))
 
 // KeyFor derives the canonical content key of one simulation cell. The key
-// covers, via a sha256 over a canonical rendering:
+// is the first 16 bytes, in hex, of a sha256 over a binary encoding of:
 //
 //   - the normalized machine configuration (technique, page size, every
-//     geometry and cost-model knob — cpu.Config is a pure value struct, so
-//     the %#v rendering is canonical and automatically tracks new fields);
+//     geometry and cost-model knob), encoded field by field by
+//     appendCanonical, which tracks new fields automatically;
 //   - the normalized workload profile, the generated-stream parameters
 //     (accesses incl. warmup, seed) and the packed stream encoder version
 //     (a format change that altered decoded ops must miss);
@@ -76,27 +97,159 @@ func KeyFor(cfg cpu.Config, prof workload.Profile, accesses, warmup int, seed in
 	if prof.Threads < 1 {
 		prof.Threads = 1
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "repcache/v%d|enc%d|%#v|%#v|n%d|w%d|s%d",
-		keyFormatVersion, workload.PackedEncoderVersion(), cfg, prof, accesses, warmup, seed)
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	var buf [1024]byte
+	b := appendKeyHeader(buf[:0], 'c')
+	b = appendWord(b, uint64(workload.PackedEncoderVersion()))
+	b = appendCanonical(b, reflect.ValueOf(&cfg).Elem())
+	b = appendCanonical(b, reflect.ValueOf(&prof).Elem())
+	b = appendWord(b, uint64(accesses))
+	b = appendWord(b, uint64(warmup))
+	b = appendWord(b, uint64(seed))
+	return keyString(sha256.Sum256(b))
 }
+
+// opBytes is the encoded size of one op in KeyForOps: seven 8-byte words
+// and a flag byte.
+const opBytes = 7*8 + 1
 
 // KeyForOps derives the content key of a fixed-op-stream cell — a scenario
 // replay, where the caller supplies the exact op list rather than a
-// generated profile. The key covers the normalized machine configuration
-// and every op verbatim, so two scenarios are cache-equal exactly when they
-// replay the same ops on the same machine.
+// generated profile. The key covers the normalized machine configuration,
+// the name and every op verbatim, so two scenarios are cache-equal exactly
+// when they replay the same ops on the same machine.
+//
+// Each op is encoded as fixed-width little-endian words (Kind, PID, Core,
+// VA, Len, Size, N) and one flag byte (Write, Fetch) into a stack buffer.
+// A full buffer is hashed and the next one starts with that digest, so a
+// script of any length hashes with no per-op work beyond the encoding and
+// no allocation beyond the key string.
 func KeyForOps(cfg cpu.Config, name string, ops []workload.Op) string {
 	cfg = cfg.Normalized()
-	h := sha256.New()
-	fmt.Fprintf(h, "repcache/ops/v%d|%#v|%q|n%d", keyFormatVersion, cfg, name, len(ops))
+	var buf [4096]byte
+	b := appendKeyHeader(buf[:0], 'o')
+	b = appendCanonical(b, reflect.ValueOf(&cfg).Elem())
+	b = appendString(b, name)
+	b = appendWord(b, uint64(len(ops)))
 	for i := range ops {
+		if len(b)+opBytes > len(buf) {
+			sum := sha256.Sum256(b)
+			b = append(buf[:0], sum[:]...)
+		}
 		op := &ops[i]
-		fmt.Fprintf(h, "|%d,%d,%d,%d,%d,%d,%t,%t,%d",
-			op.Kind, op.PID, op.Core, op.VA, op.Len, op.Size, op.Write, op.Fetch, op.N)
+		var flags byte
+		if op.Write {
+			flags |= 1
+		}
+		if op.Fetch {
+			flags |= 2
+		}
+		b = appendWord(b, uint64(op.Kind))
+		b = appendWord(b, uint64(op.PID))
+		b = appendWord(b, uint64(op.Core))
+		b = appendWord(b, op.VA)
+		b = appendWord(b, op.Len)
+		b = appendWord(b, uint64(op.Size))
+		b = appendWord(b, uint64(op.N))
+		b = append(b, flags)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	return keyString(sha256.Sum256(b))
+}
+
+// appendKeyHeader starts every key encoding: the format version, the type
+// fingerprint and a byte telling the key kinds apart.
+func appendKeyHeader(b []byte, kind byte) []byte {
+	b = appendWord(b, keyFormatVersion)
+	b = append(b, keyTypeDigest[:]...)
+	return append(b, kind)
+}
+
+// keyString renders a key: the digest's first 16 bytes in hex.
+func keyString(sum [sha256.Size]byte) string {
+	var dst [32]byte
+	hex.Encode(dst[:], sum[:16])
+	return string(dst[:])
+}
+
+func appendWord(b []byte, w uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, w)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(appendWord(b, uint64(len(s))), s...)
+}
+
+// appendCanonical appends the canonical binary encoding of v: bools,
+// integers and unsigned integers as 8-byte little-endian words, floats as
+// their Float64bits, strings length-prefixed, structs and arrays element by
+// element in declaration order. Any other kind panics naming the offending
+// field: pointer, map, slice, func, interface, chan, unsafe.Pointer and
+// uintptr values are or hold addresses that differ per process, and no
+// key type needs complex numbers.
+func appendCanonical(b []byte, v reflect.Value) []byte {
+	b, ok := appendValue(b, v)
+	if !ok {
+		panic("repcache: no canonical key encoding for " + nonCanonicalField(v.Type(), v.Type().String()))
+	}
+	return b
+}
+
+// appendValue does appendCanonical's work; ok is false once it reaches a
+// kind it cannot encode.
+func appendValue(b []byte, v reflect.Value) (_ []byte, ok bool) {
+	switch v.Kind() {
+	case reflect.Bool:
+		var w uint64
+		if v.Bool() {
+			w = 1
+		}
+		return appendWord(b, w), true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return appendWord(b, uint64(v.Int())), true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return appendWord(b, v.Uint()), true
+	case reflect.Float32, reflect.Float64:
+		return appendWord(b, math.Float64bits(v.Float())), true
+	case reflect.String:
+		return appendString(b, v.String()), true
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if b, ok = appendValue(b, v.Field(i)); !ok {
+				return b, false
+			}
+		}
+		return b, true
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if b, ok = appendValue(b, v.Index(i)); !ok {
+				return b, false
+			}
+		}
+		return b, true
+	}
+	return b, false
+}
+
+// nonCanonicalField returns the path, rooted at path, of the first field
+// of t that appendCanonical cannot encode, with its kind; "" if there is
+// none.
+func nonCanonicalField(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.String:
+		return ""
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if bad := nonCanonicalField(f.Type, path+"."+f.Name); bad != "" {
+				return bad
+			}
+		}
+		return ""
+	case reflect.Array:
+		return nonCanonicalField(t.Elem(), path+"[i]")
+	}
+	return path + " (" + t.Kind().String() + ")"
 }
 
 // entry is one cache slot. once gates the single computation; bytes stays 0

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"agilepaging/internal/cpu"
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
 
@@ -79,6 +81,9 @@ func TestKeyForDistinguishesInputs(t *testing.T) {
 	c = cfg
 	c.TrapCosts.Cycles[0] += 100
 	add("trap cost", KeyFor(c, prof, 1000, 500, 42))
+	c = cfg
+	c.TrapCosts.Cycles[len(c.TrapCosts.Cycles)-1] += 100
+	add("last trap cost", KeyFor(c, prof, 1000, 500, 42))
 	p := prof
 	p.ZipfS = 1.25
 	add("profile zipf", KeyFor(cfg, p, 1000, 500, 42))
@@ -107,6 +112,179 @@ func TestKeyForNormalizes(t *testing.T) {
 	p.Processes, p.Threads = 0, 0
 	if KeyFor(cfg, p, 1000, 500, 42) != base {
 		t.Error("Processes/Threads 0 and 1 should share a key")
+	}
+}
+
+// opsScript builds a deterministic n-op scenario script: mostly accesses,
+// with a region mapped every 97 ops.
+func opsScript(n int) []workload.Op {
+	ops := make([]workload.Op, n)
+	for i := range ops {
+		ops[i] = workload.Op{Kind: workload.OpAccess, PID: i % 2, VA: 0x4000_0000 + uint64(i%4096)*4096, Write: i%3 == 0}
+		if i%97 == 0 {
+			ops[i] = workload.Op{Kind: workload.OpMmap, PID: i % 2, VA: 0x8000_0000 + uint64(i)<<12, Len: 1 << 21, Size: pagetable.Size4K}
+		}
+	}
+	return ops
+}
+
+func TestKeyForOpsDistinguishesInputs(t *testing.T) {
+	cfg := sampleConfig()
+	// 200 ops span several hash chunks, so the perturbed op at index 150
+	// sits past the first chunk boundary.
+	ops := opsScript(200)
+	base := KeyForOps(cfg, "s", ops)
+	if again := KeyForOps(cfg, "s", opsScript(200)); again != base {
+		t.Fatalf("identical scripts built twice: keys %s and %s", base, again)
+	}
+
+	seen := map[string]string{}
+	add := func(name, key string) {
+		t.Helper()
+		if key == base {
+			t.Errorf("%s: key did not change", name)
+		}
+		if prev, ok := seen[key]; ok {
+			t.Errorf("%s collides with %s", name, prev)
+		}
+		seen[key] = name
+	}
+	perturb := func(name string, edit func(op *workload.Op)) {
+		t.Helper()
+		p := opsScript(200)
+		edit(&p[150])
+		add(name, KeyForOps(cfg, "s", p))
+	}
+	perturb("Kind", func(op *workload.Op) { op.Kind = workload.OpMunmap })
+	perturb("PID", func(op *workload.Op) { op.PID += 7 })
+	perturb("Core", func(op *workload.Op) { op.Core = 1 })
+	perturb("VA", func(op *workload.Op) { op.VA += 4096 })
+	perturb("Len", func(op *workload.Op) { op.Len = 1 << 12 })
+	perturb("Size", func(op *workload.Op) { op.Size = pagetable.Size2M })
+	perturb("Write", func(op *workload.Op) { op.Write = !op.Write })
+	perturb("Fetch", func(op *workload.Op) { op.Fetch = !op.Fetch })
+	perturb("N", func(op *workload.Op) { op.N = 64 })
+
+	swapped := opsScript(200)
+	swapped[150], swapped[151] = swapped[151], swapped[150]
+	add("swap two ops", KeyForOps(cfg, "s", swapped))
+	add("drop last op", KeyForOps(cfg, "s", ops[:len(ops)-1]))
+	add("name", KeyForOps(cfg, "t", ops))
+	c := cfg
+	c.Technique = 2
+	add("technique", KeyForOps(c, "s", ops))
+}
+
+// KeyForOps encodes workload.Op by hand, field by field. A field added to
+// Op (or renamed or retyped) must be added to that encoding too, or two
+// scripts differing only in it would share a key; this test fails first.
+func TestKeyForOpsCoversOpFields(t *testing.T) {
+	want := []string{"Kind int", "PID int", "Core int", "VA uint64", "Len uint64",
+		"Size int", "Write bool", "Fetch bool", "N int"}
+	typ := reflect.TypeOf(workload.Op{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		got = append(got, f.Name+" "+f.Type.Kind().String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("workload.Op fields = %q, KeyForOps encodes %q: update KeyForOps and this list together", got, want)
+	}
+}
+
+// TestKeyTypesAreCanonical guards KeyFor's reflect encoding: every field
+// of the configuration and profile must have a per-process-independent
+// binary form, and appendCanonical must refuse, naming the field, any type
+// that does not.
+func TestKeyTypesAreCanonical(t *testing.T) {
+	for _, v := range []any{cpu.Config{}, workload.Profile{}} {
+		typ := reflect.TypeOf(v)
+		if bad := nonCanonicalField(typ, typ.String()); bad != "" {
+			t.Errorf("%s cannot be part of a content key: %s", typ, bad)
+		}
+	}
+
+	type inner struct {
+		OK  [2]int
+		Bad map[string]int
+	}
+	type outer struct {
+		Name  string
+		Inner inner
+	}
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{outer{}, "repcache.outer.Inner.Bad (map)"},
+		{struct{ P *int }{}, ".P (ptr)"},
+		{struct{ S []int }{}, ".S (slice)"},
+		{struct{ F func() }{}, ".F (func)"},
+		{struct{ I any }{}, ".I (interface)"},
+		{struct{ C chan int }{}, ".C (chan)"},
+		{struct{ A [1]*int }{}, ".A[i] (ptr)"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasSuffix(msg, tc.want) {
+					t.Errorf("appendCanonical(%T) panic = %q, want suffix %q", tc.v, msg, tc.want)
+				}
+			}()
+			appendCanonical(nil, reflect.ValueOf(tc.v))
+		}()
+	}
+}
+
+// TestKeyForOpsAllocsConstant pins the cost model of scenario keys: the op
+// encoding allocates nothing per op, so a long script costs no more
+// allocations than a short one.
+func TestKeyForOpsAllocsConstant(t *testing.T) {
+	cfg := sampleConfig()
+	short, long := opsScript(10), opsScript(100_000)
+	shortAllocs := testing.AllocsPerRun(20, func() { keySink = KeyForOps(cfg, "s", short) })
+	longAllocs := testing.AllocsPerRun(3, func() { keySink = KeyForOps(cfg, "s", long) })
+	if shortAllocs != longAllocs || longAllocs > 2 {
+		t.Fatalf("KeyForOps allocs: %v for 10 ops, %v for 100k ops; want equal and <= 2", shortAllocs, longAllocs)
+	}
+}
+
+var keySink string
+
+func BenchmarkKeyFor(b *testing.B) {
+	cfg := cpu.DefaultConfig(walker.ModeAgile, pagetable.Size4K)
+	prof, _ := workload.ProfileByName("mcf")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = KeyFor(cfg, prof, 130_000, 10_000, int64(i))
+	}
+}
+
+// BenchmarkKeyForOps keys a script the size of a churn scenario (~400k ops).
+func BenchmarkKeyForOps(b *testing.B) {
+	cfg := cpu.DefaultConfig(walker.ModeAgile, pagetable.Size4K)
+	ops := opsScript(400_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = KeyForOps(cfg, "scenario", ops)
+	}
+}
+
+func BenchmarkDoHit(b *testing.B) {
+	Reset()
+	b.Cleanup(Reset)
+	compute := func() (cpu.Report, error) { return sampleReport(1), nil }
+	key := KeyFor(sampleConfig(), sampleProfile(), 1000, 0, 1)
+	if _, err := Do(key, compute); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Do(key, compute); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
