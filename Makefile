@@ -33,13 +33,14 @@ test:
 
 # race exercises the concurrency-sensitive packages under the race
 # detector: the sweep runner itself, the refactored experiment drivers,
-# the simulator core they drive, and the memoized report cache.
+# the simulator core they drive, the memo store and its two clients (the
+# report cache and the shared stream cache).
 race:
-	$(GO) test -race ./internal/sweep ./internal/experiments ./internal/cpu ./internal/diffcheck ./internal/repcache
+	$(GO) test -race ./internal/sweep ./internal/experiments ./internal/cpu ./internal/diffcheck ./internal/repcache ./internal/memo ./internal/workload
 
-# faults runs the fault-injection suite — panic recovery, retry/backoff,
-# CollectAll error policy, cancellation attribution, and disk-cache
-# integrity across interrupts — under the race detector.
+# faults runs the fault-injection suite — panic recovery, CollectAll error
+# policy, cancellation attribution, and disk-cache integrity across
+# interrupts — under the race detector.
 faults:
 	$(GO) test -race -run 'Fault|Panic|Retr|CollectAll|Cancel|Interrupt|Injector' \
 		./internal/sweep ./internal/experiments ./cmd/paperbench .
@@ -54,12 +55,12 @@ diffcheck:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-micro runs the per-layer hot-path microbenchmarks of PR 2 (entry
-# reads, hardware walks, TLB probes, end-to-end accesses); all of them
-# must report 0 allocs/op.
+# bench-micro runs the per-layer hot-path microbenchmarks (entry reads,
+# hardware walks, TLB probes, end-to-end accesses, stream generation and
+# replay) over the same package list as CI's benchstat step.
 bench-micro:
-	$(GO) test -bench . -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu
+	$(GO) test -bench . -benchmem -run '^$$' -count 5 \
+		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu ./internal/workload
 
 # bench-compare diffs the current tree's microbenchmarks against the
 # baseline recorded in BENCH_PR9.json (BENCH_PR7.json, BENCH_PR6.json,
@@ -69,8 +70,8 @@ bench-micro:
 # eyeball comparison.
 bench-compare:
 	@$(GO) run ./cmd/benchbaseline > /tmp/bench_baseline.txt
-	@$(GO) test -bench . -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu \
+	@$(GO) test -bench . -benchmem -run '^$$' -count 5 \
+		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu ./internal/workload \
 		> /tmp/bench_current.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat /tmp/bench_baseline.txt /tmp/bench_current.txt; \

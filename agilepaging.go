@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"agilepaging/internal/core"
 	"agilepaging/internal/experiments"
@@ -396,20 +395,15 @@ func validateConfigs(cfgs []Config) error {
 	return nil
 }
 
-// RunAllOptions controls how a batch executes: worker count, error
-// policy, and retry. The zero value matches historical RunAll behavior
-// (one worker per CPU, fail fast, no retry).
+// RunAllOptions controls how a batch executes: worker count and error
+// policy. The zero value matches historical RunAll behavior (one worker per
+// CPU, fail fast).
 type RunAllOptions struct {
 	// Workers bounds the worker pool; <= 0 selects one worker per CPU.
 	Workers int
 	// CollectAll runs every config even after failures and returns a
 	// joined error attributing each failed cell; the default fails fast.
 	CollectAll bool
-	// Retries re-executes a failed config up to this many extra times.
-	Retries int
-	// RetryBackoff is the wait before the first retry, doubling per
-	// subsequent retry (0 = retry immediately).
-	RetryBackoff time.Duration
 }
 
 // sweepConfig translates the batch options into the sweep layer's config.
@@ -417,9 +411,6 @@ func (o RunAllOptions) sweepConfig() sweep.Config {
 	cfg := sweep.Config{Workers: o.Workers}
 	if o.CollectAll {
 		cfg.ErrorPolicy = sweep.CollectAll
-	}
-	if o.Retries > 0 {
-		cfg.Retry = sweep.Retry{Attempts: o.Retries, Backoff: o.RetryBackoff}
 	}
 	return cfg
 }

@@ -5,7 +5,7 @@
 //
 //	agilesim -workload dedup -technique agile -pagesize 4K
 //	agilesim -workload mcf -compare            # all four techniques
-//	agilesim -workload mcf -compare -fail collect -retries 2
+//	agilesim -workload mcf -compare -fail collect
 //	agilesim -list                             # available workloads
 //
 // In -compare, SIGINT/SIGTERM interrupt gracefully: in-flight simulations
@@ -26,7 +26,6 @@ import (
 	"strings"
 	"syscall"
 	"text/tabwriter"
-	"time"
 
 	"agilepaging"
 	"agilepaging/internal/cpu"
@@ -45,7 +44,6 @@ func main() {
 		compare      = flag.Bool("compare", false, "run all four techniques and compare")
 		parallel     = flag.Int("parallel", 0, "simulations to run concurrently in -compare (0 = one per CPU, 1 = serial)")
 		failPolicy   = flag.String("fail", "fast", "-compare error policy: 'fast' stops at the first failed cell, 'collect' runs every cell and reports all failures")
-		retries      = flag.Int("retries", 0, "re-run a failed -compare cell up to this many extra times")
 		list         = flag.Bool("list", false, "list available workloads")
 		noCaches     = flag.Bool("no-mmu-caches", false, "disable page walk caches and nested TLB")
 		hwAD         = flag.Bool("hw-ad", false, "enable the §IV hardware A/D optimization")
@@ -58,7 +56,6 @@ func main() {
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		streamCache  = flag.Int64("stream-cache", workload.DefaultStreamCacheBytes>>20, "shared workload stream cache budget in MiB (0 disables sharing, -1 unbounded)")
-		streamDir    = flag.String("stream-cache-dir", "", "persist generated workload streams in this directory and reuse them across runs")
 		reportCache  = flag.Int64("report-cache", repcache.DefaultBudgetBytes>>20, "memoized simulation report cache budget in MiB (0 disables memoization, -1 unbounded)")
 		reportDir    = flag.String("report-cache-dir", "", "persist simulation reports in this directory and reuse them across runs")
 		machinePool  = flag.Int("machine-pool", cpu.DefaultMachinePoolCapacity, "idle simulated machines kept for reuse across runs (0 disables pooling)")
@@ -69,16 +66,12 @@ func main() {
 	if *failPolicy != "fast" && *failPolicy != "collect" {
 		fatal(fmt.Errorf("-fail %q: want 'fast' or 'collect'", *failPolicy))
 	}
-	if *retries < 0 {
-		fatal(fmt.Errorf("-retries %d: want >= 0", *retries))
-	}
 
 	if *streamCache < 0 {
 		workload.SetStreamCacheBudget(-1)
 	} else {
 		workload.SetStreamCacheBudget(*streamCache << 20)
 	}
-	workload.SetStreamCacheDir(*streamDir)
 	if *reportCache < 0 {
 		repcache.SetBudget(-1)
 	} else {
@@ -92,10 +85,6 @@ func main() {
 		info := workload.StreamCacheInfo()
 		fmt.Fprintf(os.Stderr, "stream cache: %d hits, %d generated, %d streams, %.1f MiB packed\n",
 			info.Hits, info.Misses, info.Streams, float64(info.Bytes)/(1<<20))
-		if *streamDir != "" {
-			fmt.Fprintf(os.Stderr, "stream disk cache: %d loaded, %d generated, %d write errors\n",
-				info.DiskHits, info.DiskMisses, info.DiskErrors)
-		}
 		rinfo := repcache.Info()
 		fmt.Fprintf(os.Stderr, "report cache: %d hits, %d simulated, %d deduped, %d reports\n",
 			rinfo.Hits, rinfo.Misses, rinfo.Deduped, rinfo.Reports)
@@ -163,10 +152,6 @@ func main() {
 		opts := agilepaging.RunAllOptions{
 			Workers:    *parallel,
 			CollectAll: *failPolicy == "collect",
-			Retries:    *retries,
-		}
-		if opts.Retries > 0 {
-			opts.RetryBackoff = 50 * time.Millisecond
 		}
 		results, completed, err := agilepaging.CompareWith(ctx, opts, *workloadName, ps, *accesses, *seed)
 		if err != nil {

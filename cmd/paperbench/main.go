@@ -15,7 +15,7 @@
 //	paperbench -metrics out.json     # adaptation-curve epoch telemetry
 //	paperbench -run mcf -technique shadow -pagesize 2M   # one sweep cell
 //	paperbench -all -parallel 8      # same results, 8 simulations at a time
-//	paperbench -all -fail collect -retries 2   # run past bad cells, retry flakes
+//	paperbench -all -fail collect    # run past bad cells, report them all
 //
 // SIGINT/SIGTERM interrupt gracefully: in-flight simulations finish, the
 // completed-cell count and cache statistics go to stderr, and the process
@@ -35,7 +35,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"agilepaging/internal/cpu"
 	"agilepaging/internal/experiments"
@@ -64,7 +63,6 @@ type options struct {
 	parallel   int
 	progress   bool
 	fail       string
-	retries    int
 	cpuProfile string
 	memProfile string
 
@@ -77,7 +75,6 @@ type options struct {
 	pageSize    string
 
 	streamCacheMB  int64
-	streamCacheDir string
 	reportCacheMB  int64
 	reportCacheDir string
 	machinePool    int
@@ -105,14 +102,12 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.parallel, "parallel", 0, "simulations to run concurrently (0 = one per CPU, 1 = serial)")
 	fs.BoolVar(&o.progress, "progress", false, "print per-simulation progress to stderr")
 	fs.StringVar(&o.fail, "fail", "fast", "error policy: 'fast' stops at the first failed cell, 'collect' runs every cell and reports all failures")
-	fs.IntVar(&o.retries, "retries", 0, "re-run a failed simulation cell up to this many extra times")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.metrics, "metrics", "", "run the adaptation-curve experiment and write its epoch series to this file (.csv for CSV, else JSON)")
 	fs.IntVar(&o.metricsEpoch, "metrics-epoch", 2000, "telemetry sampling interval in accesses for -metrics")
 	fs.StringVar(&o.walkTrace, "walk-trace", "", "with -metrics: also write the last page walks as Chrome trace-event JSON to this file")
 	fs.Int64Var(&o.streamCacheMB, "stream-cache", workload.DefaultStreamCacheBytes>>20, "shared workload stream cache budget in MiB (0 disables sharing, -1 unbounded)")
-	fs.StringVar(&o.streamCacheDir, "stream-cache-dir", "", "persist generated workload streams in this directory and reuse them across runs")
 	fs.Int64Var(&o.reportCacheMB, "report-cache", repcache.DefaultBudgetBytes>>20, "memoized simulation report cache budget in MiB (0 disables memoization, -1 unbounded)")
 	fs.StringVar(&o.reportCacheDir, "report-cache-dir", "", "persist simulation reports in this directory and reuse them across runs")
 	fs.IntVar(&o.machinePool, "machine-pool", cpu.DefaultMachinePoolCapacity, "idle simulated machines kept for reuse across sweep cells (0 disables pooling)")
@@ -128,9 +123,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	if o.fail != "fast" && o.fail != "collect" {
 		return options{}, fmt.Errorf("-fail %q: want 'fast' or 'collect'", o.fail)
 	}
-	if o.retries < 0 {
-		return options{}, fmt.Errorf("-retries %d: want >= 0", o.retries)
-	}
 	if workloads != "" {
 		o.workloads = strings.Split(workloads, ",")
 	}
@@ -142,7 +134,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 var completedSims atomic.Int64
 
 // sweepConfig builds the shared sweep configuration: the requested worker
-// count, error policy, and retry budget. OnProgress is always installed to
+// count and error policy. OnProgress is always installed to
 // feed the interrupt report's completed-simulation counter; it prints a
 // stderr line per finished simulation only when -progress is set.
 func (o options) sweepConfig(stderr io.Writer) sweep.Config {
@@ -156,9 +148,6 @@ func (o options) sweepConfig(stderr io.Writer) sweep.Config {
 	}
 	if o.fail == "collect" {
 		cfg.ErrorPolicy = sweep.CollectAll
-	}
-	if o.retries > 0 {
-		cfg.Retry = sweep.Retry{Attempts: o.retries, Backoff: 50 * time.Millisecond}
 	}
 	return cfg
 }
@@ -211,7 +200,6 @@ func main() {
 	}
 
 	applyStreamCacheBudget(opts.streamCacheMB)
-	workload.SetStreamCacheDir(opts.streamCacheDir)
 	applyReportCacheBudget(opts.reportCacheMB)
 	repcache.SetDir(opts.reportCacheDir)
 	cpu.SetMachinePoolCapacity(opts.machinePool)
@@ -454,20 +442,14 @@ func main() {
 func printCacheStats(w io.Writer, opts options) {
 	hits, misses, retired, idle := cpu.MachinePoolStats()
 	fmt.Fprintf(w, "machine pool: %d reused, %d built, %d retired, %d idle\n", hits, misses, retired, idle)
-	fmt.Fprint(w, formatStreamCacheStats(workload.StreamCacheInfo(), opts.streamCacheDir != ""))
+	fmt.Fprint(w, formatStreamCacheStats(workload.StreamCacheInfo()))
 	fmt.Fprint(w, formatReportCacheStats(repcache.Info(), opts.reportCacheDir != ""))
 }
 
-// formatStreamCacheStats renders the -progress stream-cache summary line(s).
-// The disk line appears only when -stream-cache-dir was given.
-func formatStreamCacheStats(info workload.StreamCacheSnapshot, disk bool) string {
-	out := fmt.Sprintf("stream cache: %d hits, %d generated, %d streams, %.1f MiB packed\n",
+// formatStreamCacheStats renders the -progress stream-cache summary line.
+func formatStreamCacheStats(info workload.StreamCacheSnapshot) string {
+	return fmt.Sprintf("stream cache: %d hits, %d generated, %d streams, %.1f MiB packed\n",
 		info.Hits, info.Misses, info.Streams, float64(info.Bytes)/(1<<20))
-	if disk {
-		out += fmt.Sprintf("stream disk cache: %d loaded, %d generated, %d write errors\n",
-			info.DiskHits, info.DiskMisses, info.DiskErrors)
-	}
-	return out
 }
 
 // formatReportCacheStats renders the -progress report-cache summary line(s).

@@ -115,15 +115,15 @@ func TestParseArgsFailAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.fail != "fast" || o.retries != 0 {
-		t.Errorf("defaults: fail=%q retries=%d, want fast/0", o.fail, o.retries)
+	if o.fail != "fast" {
+		t.Errorf("default fail = %q, want fast", o.fail)
 	}
 	cfg := o.sweepConfig(&errBuf)
-	if cfg.ErrorPolicy != sweep.FailFast || cfg.Retry.Attempts != 0 {
-		t.Errorf("default sweep config: policy=%v retry=%+v", cfg.ErrorPolicy, cfg.Retry)
+	if cfg.ErrorPolicy != sweep.FailFast {
+		t.Errorf("default sweep config: policy=%v", cfg.ErrorPolicy)
 	}
 
-	o, err = parseArgs([]string{"-all", "-fail", "collect", "-retries", "2"}, &errBuf)
+	o, err = parseArgs([]string{"-all", "-fail", "collect"}, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,9 @@ func TestParseArgsFailAndRetries(t *testing.T) {
 	if cfg.ErrorPolicy != sweep.CollectAll {
 		t.Errorf("-fail collect: policy = %v", cfg.ErrorPolicy)
 	}
-	if cfg.Retry.Attempts != 2 || cfg.Retry.Backoff <= 0 {
-		t.Errorf("-retries 2: retry = %+v", cfg.Retry)
-	}
 
 	if _, err := parseArgs([]string{"-all", "-fail", "eventually"}, &errBuf); err == nil {
 		t.Error("-fail eventually accepted")
-	}
-	if _, err := parseArgs([]string{"-all", "-retries", "-3"}, &errBuf); err == nil {
-		t.Error("-retries -3 accepted")
 	}
 }
 
@@ -175,40 +169,12 @@ func TestParseArgsStreamCache(t *testing.T) {
 	}
 }
 
-func TestParseArgsStreamCacheDir(t *testing.T) {
-	var errBuf bytes.Buffer
-	o, err := parseArgs(nil, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.streamCacheDir != "" {
-		t.Errorf("default stream-cache-dir = %q, want disabled", o.streamCacheDir)
-	}
-	o, err = parseArgs([]string{"-all", "-stream-cache-dir", "/tmp/streams"}, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.streamCacheDir != "/tmp/streams" {
-		t.Errorf("stream-cache-dir = %q", o.streamCacheDir)
-	}
-}
-
 func TestFormatStreamCacheStats(t *testing.T) {
-	info := workload.StreamCacheSnapshot{
-		Hits: 12, Misses: 4, Streams: 4, Bytes: 3 << 20,
-		DiskHits: 2, DiskMisses: 2, DiskErrors: 1,
-	}
-	got := formatStreamCacheStats(info, false)
+	info := workload.StreamCacheSnapshot{Hits: 12, Misses: 4, Streams: 4, Bytes: 3 << 20}
+	got := formatStreamCacheStats(info)
 	if !strings.Contains(got, "12 hits") || !strings.Contains(got, "4 generated") ||
 		!strings.Contains(got, "3.0 MiB") {
-		t.Errorf("memory line = %q", got)
-	}
-	if strings.Contains(got, "disk") {
-		t.Errorf("disk line present without -stream-cache-dir: %q", got)
-	}
-	got = formatStreamCacheStats(info, true)
-	if !strings.Contains(got, "2 loaded") || !strings.Contains(got, "1 write errors") {
-		t.Errorf("disk line = %q", got)
+		t.Errorf("stream cache line = %q", got)
 	}
 }
 

@@ -30,15 +30,17 @@
 // panic naming the field. Keys print as 32 hex characters, which also name
 // the disk tier's files.
 //
-// Three layers, mirroring workload's stream cache:
+// Two tiers:
 //
-//   - an in-memory LRU (byte budget, default DefaultBudgetBytes) with
-//     per-key sync.Once singleflight, so concurrent sweeps asking for the
-//     same cell run one simulation and share the result;
-//   - an opt-in disk tier (SetDir / the CLIs' -report-cache-dir flag):
-//     content-addressed files with defensive validation, so repeated CLI
-//     or bench invocations skip simulation entirely;
-//   - statistics (Info) the CLIs print under -progress.
+//   - the in-memory memo (internal/memo: byte-budget LRU, default
+//     DefaultBudgetBytes, with per-key singleflight), so concurrent sweeps
+//     asking for the same cell run one simulation and share the result;
+//   - an opt-in disk tier (SetDir / the CLIs' -report-cache-dir flag),
+//     consulted on a memo miss: content-addressed files with defensive
+//     validation, so repeated CLI or bench invocations skip simulation
+//     entirely.
+//
+// Info reports both tiers' counters, which the CLIs print under -progress.
 //
 // Concurrency contract: all exported functions are safe for concurrent
 // use. Do never calls compute twice for one key unless the first compute
@@ -52,8 +54,10 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"agilepaging/internal/cpu"
+	"agilepaging/internal/memo"
 	"agilepaging/internal/workload"
 )
 
@@ -252,17 +256,6 @@ func nonCanonicalField(t reflect.Type, path string) string {
 	return path + " (" + t.Kind().String() + ")"
 }
 
-// entry is one cache slot. once gates the single computation; bytes stays 0
-// until the report is stored and charged against the budget (eviction skips
-// uncharged entries — a waiter holds a reference anyway).
-type entry struct {
-	once    sync.Once
-	rep     cpu.Report
-	err     error
-	bytes   int64
-	lastUse uint64
-}
-
 // entryOverhead approximates the fixed per-entry cost (map slot, entry
 // struct, key string) charged on top of the report's own size.
 const entryOverhead = 256
@@ -277,23 +270,15 @@ var reportBaseBytes = int64(reflect.TypeOf(cpu.Report{}).Size())
 // be reached in normal use.
 const DefaultBudgetBytes = 16 << 20
 
-// cache is the process-wide report cache.
-var cache = struct {
-	mu         sync.Mutex
-	entries    map[string]*entry
-	clock      uint64
-	bytes      int64
-	budget     int64
-	dir        string // disk tier directory ("" = disabled)
-	hits       uint64
-	misses     uint64
-	deduped    uint64
-	diskHits   uint64
-	diskMisses uint64
-	diskErrs   uint64
-}{
-	entries: make(map[string]*entry),
-	budget:  DefaultBudgetBytes,
+// reports is the process-wide in-memory tier. It holds pointers so a hit
+// copies the report once, into Do's result.
+var reports = memo.New[string, *cpu.Report](DefaultBudgetBytes)
+
+// disk is the disk tier's directory ("" = disabled) and counters.
+var disk struct {
+	mu                 sync.Mutex
+	dir                string
+	hits, misses, errs atomic.Uint64
 }
 
 // Snapshot is a point-in-time copy of the cache's counters. Hits counts
@@ -313,13 +298,11 @@ type Snapshot struct {
 
 // Info reports cache effectiveness and current footprint.
 func Info() Snapshot {
-	c := &cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := reports.Stats()
 	return Snapshot{
-		Hits: c.hits, Misses: c.misses, Deduped: c.deduped,
-		DiskHits: c.diskHits, DiskMisses: c.diskMisses, DiskErrors: c.diskErrs,
-		Bytes: c.bytes, Reports: len(c.entries),
+		Hits: s.Hits, Misses: s.Misses, Deduped: s.Deduped,
+		DiskHits: disk.hits.Load(), DiskMisses: disk.misses.Load(), DiskErrors: disk.errs.Load(),
+		Bytes: s.Bytes, Reports: s.Entries,
 	}
 }
 
@@ -331,23 +314,18 @@ func Stats() (hits, misses, deduped uint64) {
 }
 
 // SetBudget sets the in-memory byte budget. budget == 0 disables
-// memoization entirely (every Do computes); budget < 0 removes the bound.
-// Shrinking evicts immediately.
-func SetBudget(budget int64) {
-	cache.mu.Lock()
-	cache.budget = budget
-	evictLocked(nil)
-	cache.mu.Unlock()
-}
+// memoization entirely (every Do computes, and the disk tier is skipped);
+// budget < 0 removes the bound. Shrinking evicts immediately.
+func SetBudget(budget int64) { reports.SetBudget(budget) }
 
 // SetDir sets the persistent report-cache directory. When non-empty,
 // computed reports are written there and later misses are satisfied from
 // valid files instead of simulating. "" (the default) disables the disk
 // tier.
 func SetDir(dir string) {
-	cache.mu.Lock()
-	cache.dir = dir
-	cache.mu.Unlock()
+	disk.mu.Lock()
+	disk.dir = dir
+	disk.mu.Unlock()
 }
 
 // Reset drops every stored report and rewinds all cache state — statistics
@@ -355,130 +333,56 @@ func SetDir(dir string) {
 // of a fresh process. The disk directory setting and budget survive; disk
 // files are never removed (they are the point of the disk tier).
 func Reset() {
-	c := &cache
-	c.mu.Lock()
-	c.entries = make(map[string]*entry)
-	c.clock = 0
-	c.bytes = 0
-	c.hits, c.misses, c.deduped = 0, 0, 0
-	c.diskHits, c.diskMisses, c.diskErrs = 0, 0, 0
-	c.mu.Unlock()
-}
-
-// evictLocked drops stored reports, least recently used first, until the
-// cache fits its budget. keep, if non-nil, is never evicted. Uncharged
-// entries (still computing) are skipped.
-func evictLocked(keep *entry) {
-	c := &cache
-	if c.budget < 0 {
-		return
-	}
-	for c.bytes > c.budget {
-		var victimKey string
-		var victim *entry
-		for k, e := range c.entries {
-			if e == keep || e.bytes == 0 {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim, victimKey = e, k
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(c.entries, victimKey)
-		c.bytes -= victim.bytes
-	}
+	reports.Reset()
+	disk.hits.Store(0)
+	disk.misses.Store(0)
+	disk.errs.Store(0)
 }
 
 // Do returns the memoized report for key, calling compute at most once per
-// key across all concurrent callers (later callers block on the first's
-// sync.Once and share its result). A failed compute is never cached: the
-// entry is removed, every waiter attached to that flight receives the
-// error, and the next Do retries. With the cache disabled (budget 0) Do
-// degenerates to calling compute.
+// key across all concurrent callers (later callers block on the first and
+// share its result). A miss consults the disk tier before computing. A
+// failed compute is never cached: every waiter attached to that flight
+// receives the error, and the next Do computes again. With the cache
+// disabled (budget 0) Do degenerates to calling compute.
 func Do(key string, compute func() (cpu.Report, error)) (cpu.Report, error) {
-	c := &cache
-	c.mu.Lock()
-	if c.budget == 0 {
-		c.misses++
-		c.mu.Unlock()
+	rep, err := reports.Do(key, func(charge func(int64)) (*cpu.Report, error) {
+		if charge == nil {
+			rep, err := compute()
+			return &rep, err
+		}
+		rep, err := computeThroughDisk(key, compute)
+		if err == nil {
+			charge(reportBaseBytes + int64(len(rep.Workload)) + int64(len(key)) + entryOverhead)
+		}
+		return &rep, err
+	})
+	if rep == nil { // the compute this ask waited on panicked
+		return cpu.Report{}, err
+	}
+	return *rep, err
+}
+
+// computeThroughDisk serves a miss: from a valid disk file when the disk
+// tier is on, otherwise by computing (and then persisting the report).
+func computeThroughDisk(key string, compute func() (cpu.Report, error)) (cpu.Report, error) {
+	disk.mu.Lock()
+	dir := disk.dir
+	disk.mu.Unlock()
+	if dir == "" {
 		return compute()
 	}
-	e, ok := c.entries[key]
-	if ok {
-		if e.bytes != 0 {
-			c.hits++
-		} else {
-			// The first asker is still simulating; we will share its run.
-			c.deduped++
-		}
-	} else {
-		c.misses++
-		e = &entry{}
-		c.entries[key] = e
+	if rep, ok := loadReportFromDisk(dir, key); ok {
+		disk.hits.Add(1)
+		return rep, nil
 	}
-	c.clock++
-	e.lastUse = c.clock
-	dir := c.dir
-	c.mu.Unlock()
-
-	e.once.Do(func() {
-		if dir != "" {
-			if rep, ok := loadReportFromDisk(dir, key); ok {
-				e.finish(key, rep, nil, true, dir != "")
-				return
-			}
-		}
-		rep, err := compute()
-		diskErr := false
-		if err == nil && dir != "" {
-			diskErr = writeReportToDisk(dir, key, rep) != nil
-		}
-		e.finishWithDiskErr(key, rep, err, false, dir != "", diskErr)
-	})
-	return e.rep, e.err
-}
-
-// finish stores the computation's outcome and settles statistics and the
-// budget; see finishWithDiskErr.
-func (e *entry) finish(key string, rep cpu.Report, err error, fromDisk, diskEnabled bool) {
-	e.finishWithDiskErr(key, rep, err, fromDisk, diskEnabled, false)
-}
-
-// finishWithDiskErr records the report (or error) on the entry, updates the
-// disk-tier counters, and either charges the completed entry against the
-// budget or — on error — removes it so the key can be retried.
-func (e *entry) finishWithDiskErr(key string, rep cpu.Report, err error, fromDisk, diskEnabled, diskErr bool) {
-	e.rep, e.err = rep, err
-	size := reportBaseBytes + int64(len(rep.Workload)) + int64(len(key)) + entryOverhead
-
-	c := &cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if diskEnabled {
-		if err == nil {
-			if fromDisk {
-				c.diskHits++
-			} else {
-				c.diskMisses++
-			}
-		}
-		if diskErr {
-			c.diskErrs++
-		}
-	}
-	// The entry may have been evicted or the cache Reset while we computed;
-	// only charge (or remove) entries still in the map.
-	if c.entries[key] != e {
-		return
-	}
+	rep, err := compute()
 	if err != nil {
-		delete(c.entries, key)
-		return
+		return rep, err
 	}
-	e.bytes = size
-	c.bytes += size
-	evictLocked(e)
+	disk.misses.Add(1)
+	if writeReportToDisk(dir, key, rep) != nil {
+		disk.errs.Add(1)
+	}
+	return rep, nil
 }

@@ -10,7 +10,7 @@ import (
 // faults against job keys — fail the Nth execution of this key, panic on
 // that one, hang a third until cancellation — and InjectFaults splices it
 // in front of any run function. The sweep and experiments tests drive the
-// panic-recovery, retry, error-policy, and interrupt paths with it (under
+// panic-recovery, error-policy, and interrupt paths with it (under
 // -race); production code never constructs one.
 
 // FaultKind selects what an injected fault does.
@@ -51,7 +51,7 @@ func NewInjector(specs ...FaultSpec) *Injector {
 }
 
 // Executions reports how many times jobs with the given key have started
-// executing (retries count as separate executions).
+// executing.
 func (inj *Injector) Executions(key string) int {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()

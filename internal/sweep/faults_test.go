@@ -155,81 +155,6 @@ func TestCollectAllErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestRetryUntilTransientClears verifies a job whose first executions fail
-// succeeds once the flake clears within Retry.Attempts, and fails for good
-// when the budget is one attempt too small.
-func TestRetryUntilTransientClears(t *testing.T) {
-	mk := func() *Injector {
-		return NewInjector(
-			FaultSpec{Key: "job-1", Execution: 1, Kind: FaultError},
-			FaultSpec{Key: "job-1", Execution: 2, Kind: FaultError},
-		)
-	}
-	inj := mk()
-	got, err := Run(context.Background(), Config{Workers: 2, Retry: Retry{Attempts: 2}},
-		jobList(4), InjectFaults(inj, okFn))
-	if err != nil {
-		t.Fatalf("flake did not clear: %v", err)
-	}
-	if got[1] != 10 {
-		t.Fatalf("results[1] = %d after retries, want 10", got[1])
-	}
-	if n := inj.Executions("job-1"); n != 3 {
-		t.Fatalf("flaky job executed %d times, want 3", n)
-	}
-
-	inj = mk()
-	_, err = Run(context.Background(), Config{Workers: 2, Retry: Retry{Attempts: 1}},
-		jobList(4), InjectFaults(inj, okFn))
-	if err == nil {
-		t.Fatal("Attempts=1 cleared a two-failure flake")
-	}
-	if n := inj.Executions("job-1"); n != 2 {
-		t.Fatalf("flaky job executed %d times under Attempts=1, want 2", n)
-	}
-}
-
-// TestRetryTransientFilter verifies Transient gates retry: a permanent
-// error runs once no matter the attempt budget.
-func TestRetryTransientFilter(t *testing.T) {
-	permanent := errors.New("permanent")
-	inj := NewInjector(FaultSpec{Key: "job-0", Kind: FaultError, Err: permanent})
-	cfg := Config{Workers: 1, Retry: Retry{
-		Attempts:  5,
-		Transient: func(err error) bool { return !errors.Is(err, permanent) },
-	}}
-	_, err := Run(context.Background(), cfg, jobList(2), InjectFaults(inj, okFn))
-	if !errors.Is(err, permanent) {
-		t.Fatalf("err = %v", err)
-	}
-	if n := inj.Executions("job-0"); n != 1 {
-		t.Fatalf("permanent failure executed %d times, want 1", n)
-	}
-}
-
-// TestRetryBackoffAbortsOnCancel verifies a retry backoff does not outlive
-// the sweep: cancellation during the wait returns promptly.
-func TestRetryBackoffAbortsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	inj := NewInjector(FaultSpec{Key: "job-0", Kind: FaultError})
-	start := time.Now()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	_, err := Run(ctx, Config{Workers: 1, Retry: Retry{Attempts: 3, Backoff: time.Hour}},
-		jobList(1), InjectFaults(inj, okFn))
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("backoff ignored cancellation (%v elapsed)", elapsed)
-	}
-	if n := inj.Executions("job-0"); n != 1 {
-		t.Fatalf("job executed %d times, want 1 (backoff aborted)", n)
-	}
-}
-
 // TestExternalCancelNotAttributed pins the cancellation-attribution fix: a
 // job that returns the canceled context's error — bare or wrapped — after
 // an external cancellation is a casualty, and Run returns the bare
@@ -373,28 +298,5 @@ func TestCollectAllDedupMask(t *testing.T) {
 	}
 	if out.JobErrors[3] != nil {
 		t.Errorf("alias blamed for its representative's failure: %v", out.JobErrors[3])
-	}
-}
-
-// TestFailFastWithRetrySemantics verifies FailFast only fires after the
-// retry budget is exhausted — a flake that clears never cancels the sweep.
-func TestFailFastWithRetrySemantics(t *testing.T) {
-	inj := NewInjector(FaultSpec{Key: "job-0", Execution: 1, Kind: FaultError})
-	var ran int64
-	got, err := Run(context.Background(), Config{Workers: 1, Retry: Retry{Attempts: 1}},
-		jobList(4), InjectFaults(inj, func(_ context.Context, j Job[int]) (int, error) {
-			atomic.AddInt64(&ran, 1)
-			return j.Options * 10, nil
-		}))
-	if err != nil {
-		t.Fatalf("cleared flake failed the sweep: %v", err)
-	}
-	if atomic.LoadInt64(&ran) != 4 {
-		t.Fatalf("%d healthy executions, want 4", ran)
-	}
-	for i, r := range got {
-		if r != i*10 {
-			t.Fatalf("results[%d] = %d", i, r)
-		}
 	}
 }

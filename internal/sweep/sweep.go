@@ -21,10 +21,11 @@
 // Fault tolerance: a job that panics does not kill the process — the panic
 // is recovered into a *PanicError and treated as that job's failure.
 // Config.ErrorPolicy selects what a failure does to the rest of the sweep
-// (FailFast cancels it, CollectAll keeps running and joins every failure),
-// and Config.Retry re-executes failed jobs. Execute exposes the full
-// outcome, including a per-job completion mask, so callers can render
-// partial result tables; Run is the errors-only view.
+// (FailFast cancels it, CollectAll keeps running and joins every failure).
+// Failed jobs are not retried: a job is a pure function of its key, so it
+// would fail the same way again. Execute exposes the full outcome,
+// including a per-job completion mask, so callers can render partial
+// result tables; Run is the errors-only view.
 package sweep
 
 import (
@@ -72,7 +73,7 @@ type Progress struct {
 	Deduped int
 	// Key is the key of the job that just finished.
 	Key string
-	// Elapsed is that job's wall-clock run time, including retries.
+	// Elapsed is that job's wall-clock run time.
 	Elapsed time.Duration
 }
 
@@ -96,26 +97,9 @@ const (
 	CollectAll
 )
 
-// Retry re-executes failed jobs. The zero value disables retry.
-type Retry struct {
-	// Attempts is the maximum number of re-executions after a failed
-	// attempt: a job runs at most Attempts+1 times. 0 disables retry.
-	Attempts int
-	// Backoff is the wait before the first retry, doubling on each
-	// further retry. The wait aborts immediately if the sweep is
-	// canceled. 0 retries without waiting.
-	Backoff time.Duration
-	// Transient reports whether an error is worth retrying. nil retries
-	// every failure, including recovered panics (filter with errors.As on
-	// *PanicError to exclude them). Cancellation casualties — errors
-	// matching the sweep context's own error after cancellation — never
-	// retry regardless.
-	Transient func(error) bool
-}
-
 // Config parameterizes a sweep execution. The zero value runs on
-// runtime.GOMAXPROCS(0) workers with no progress reporting, the FailFast
-// error policy, and no retry.
+// runtime.GOMAXPROCS(0) workers with no progress reporting and the
+// FailFast error policy.
 type Config struct {
 	// Workers bounds the worker pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -128,8 +112,6 @@ type Config struct {
 	OnProgress func(Progress)
 	// ErrorPolicy selects the response to job failures (default FailFast).
 	ErrorPolicy ErrorPolicy
-	// Retry re-executes failed jobs before they count as failures.
-	Retry Retry
 }
 
 func (c Config) workers(jobs int) int {
@@ -224,7 +206,7 @@ func (o Outcome[R]) CompletedCount() int {
 //
 // Panics: a panicking job does not crash the process; the panic is
 // recovered into a *PanicError carrying the stack and handled as that
-// job's failure (retried and reported like any other error).
+// job's failure (reported like any other error).
 //
 // Errors and cancellation, under FailFast (the default): the first
 // observed failure — a scheduling race when several jobs fail
@@ -307,8 +289,8 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 		progressDead  bool
 	)
 
-	// attempt runs fn once, converting a panic into a *PanicError.
-	attempt := func(j Job[O]) (r R, err error) {
+	// runJob runs fn once, converting a panic into a *PanicError.
+	runJob := func(j Job[O]) (r R, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				var zero R
@@ -316,34 +298,6 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 			}
 		}()
 		return fn(ctx, j)
-	}
-
-	// runJob is attempt plus the retry policy: failed attempts re-execute
-	// up to Retry.Attempts extra times with doubling backoff, unless the
-	// error is a cancellation casualty or Transient rejects it.
-	runJob := func(j Job[O]) (R, error) {
-		r, err := attempt(j)
-		backoff := cfg.Retry.Backoff
-		for extra := 0; err != nil && extra < cfg.Retry.Attempts; extra++ {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				break // canceled, not failed: retrying cannot help
-			}
-			if cfg.Retry.Transient != nil && !cfg.Retry.Transient(err) {
-				break
-			}
-			if backoff > 0 {
-				t := time.NewTimer(backoff)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return r, err
-				case <-t.C:
-				}
-				backoff *= 2
-			}
-			r, err = attempt(j)
-		}
-		return r, err
 	}
 
 	// reportProgress serializes the user callback and shields the pool

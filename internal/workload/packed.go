@@ -22,8 +22,7 @@ import (
 // decodes one chunk at a time into a pooled fixed-size buffer, keeping
 // steady-state replay allocation-free.
 //
-// Wire format (one op), kept deliberately self-contained so the disk cache
-// can persist chunks verbatim:
+// Wire format (one op):
 //
 //	tag byte:  kind (low 4 bits; 0xF escapes to a zigzag varint for
 //	           out-of-range kinds) | flagWrite | flagFetch | flagCtx |
@@ -36,7 +35,7 @@ import (
 // the ops that change PID or Core, so the common same-process access needs
 // neither. Running state resets at every chunk boundary, making each chunk
 // independently decodable. Any change here must bump packedEncoderVersion
-// so stale disk-cache files regenerate instead of misdecoding.
+// so reports cached under the old encoding miss.
 
 // PackedChunkOps is the number of ops encoded per chunk: large enough to
 // amortize the chunk-boundary state reset and the per-chunk publish
@@ -45,8 +44,7 @@ import (
 const PackedChunkOps = 4096
 
 // packedEncoderVersion identifies the op wire format. It participates in
-// the disk-cache content key and file header; bump it whenever the
-// encoding changes shape.
+// repcache's cell keys; bump it whenever the encoding changes shape.
 const packedEncoderVersion = 1
 
 // PackedEncoderVersion exposes the op wire-format version for content keys
@@ -139,9 +137,10 @@ func appendOp(b []byte, op *Op, st *packState) []byte {
 	return b
 }
 
-// errCorruptChunk reports a malformed encoded chunk. In-memory chunks are
-// produced by appendOp and cannot be malformed; this surfaces only while
-// validating disk-cache files, which must never panic on hostile bytes.
+// errCorruptChunk reports a malformed encoded chunk. Chunks are produced by
+// appendOp and cannot be malformed, so this surfaces only on an encoder bug
+// (Reader.Next turns it into a panic naming the chunk) or on hostile bytes
+// handed to the decoder directly, which must never panic or misdecode.
 var errCorruptChunk = fmt.Errorf("workload: corrupt packed chunk")
 
 // readUvarint is binary.Uvarint with explicit error reporting.
@@ -229,7 +228,7 @@ func decodeChunkInto(data []byte, buf *[PackedChunkOps]Op, want int) ([]Op, erro
 		}
 		// VA delta, inlined zigzag uvarint. Unlike binary.Uvarint this
 		// accepts a non-minimal final byte (it masks instead of erroring);
-		// the encoder only emits minimal forms, and for hostile disk bytes
+		// the encoder only emits minimal forms, and for hostile bytes
 		// acceptance is still deterministic and panic-free.
 		var u uint64
 		var sh uint
@@ -392,20 +391,6 @@ func (ps *packedStream) encodeChunks(gen Generator) {
 	}
 }
 
-// encodeAll is encodeChunks plus completion (private, uncached streams).
-func (ps *packedStream) encodeAll(gen Generator) {
-	ps.encodeChunks(gen)
-	ps.finish()
-}
-
-// packOps encodes a fixed op list into a completed packed stream (tests
-// and the disk-cache validator).
-func packOps(ops []Op) *packedStream {
-	ps := newPackedStream()
-	ps.encodeAll(NewFromOps("", ops))
-	return ps
-}
-
 // StreamReader is a forward cursor over a stream's decoded chunks. Each
 // reader owns one pooled decode buffer that every Next reuses, so
 // steady-state replay performs no per-op or per-chunk allocation. Readers
@@ -432,8 +417,7 @@ func (r *StreamReader) Next() ([]Op, bool) {
 	}
 	ops, err := decodeChunkInto(ch.data, r.buf, ch.ops)
 	if err != nil {
-		// In-memory chunks come from appendOp and disk-loaded chunks are
-		// re-decoded during validation, so this is unreachable without an
+		// Chunks come from appendOp, so this is unreachable without an
 		// encoder bug.
 		panic(fmt.Sprintf("workload: packed chunk %d failed to decode: %v", r.next-1, err))
 	}

@@ -118,17 +118,17 @@ func TestDecodeChunkHostile(t *testing.T) {
 		data []byte
 		want int
 	}{
-		"empty with want":      {nil, 1},
-		"negative want":        {valid.data, -1},
-		"oversize want":        {valid.data, PackedChunkOps + 1},
-		"count mismatch low":   {valid.data, 1},
-		"count mismatch high":  {valid.data, 3},
-		"truncated":            {valid.data[:len(valid.data)-1], valid.ops},
-		"trailing garbage":     {append(append([]byte(nil), valid.data...), 0x00), valid.ops},
-		"unterminated varint":  {[]byte{byte(OpAccess) | flagCtx, 0x80, 0x80}, 1},
-		"varint overflow":      {[]byte{byte(OpAccess), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 1},
-		"escape kind cut":      {[]byte{kindEscape}, 1},
-		"extra fields cut":     {[]byte{byte(OpMmap) | flagExtra, 0x05}, 1},
+		"empty with want":     {nil, 1},
+		"negative want":       {valid.data, -1},
+		"oversize want":       {valid.data, PackedChunkOps + 1},
+		"count mismatch low":  {valid.data, 1},
+		"count mismatch high": {valid.data, 3},
+		"truncated":           {valid.data[:len(valid.data)-1], valid.ops},
+		"trailing garbage":    {append(append([]byte(nil), valid.data...), 0x00), valid.ops},
+		"unterminated varint": {[]byte{byte(OpAccess) | flagCtx, 0x80, 0x80}, 1},
+		"varint overflow":     {[]byte{byte(OpAccess), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 1},
+		"escape kind cut":     {[]byte{kindEscape}, 1},
+		"extra fields cut":    {[]byte{byte(OpMmap) | flagExtra, 0x05}, 1},
 	}
 	for name, tc := range cases {
 		if _, err := decodeChunkInto(tc.data, buf, tc.want); err == nil {
@@ -221,36 +221,6 @@ func FuzzPackedRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzStreamFileDecode feeds arbitrary bytes to the disk-cache file parser:
-// it must reject or accept without ever panicking, and anything it accepts
-// must re-encode to a valid file with the same totals (not necessarily the
-// same bytes — the varint decoders tolerate non-minimal encodings that
-// re-encode shorter).
-func FuzzStreamFileDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(streamFileMagic[:])
-	valid := encodeStreamFile(packOps(Collect(New(Profile{
-		Name: "fuzz-seed", FootprintBytes: 1 << 16, Pattern: PatternStream,
-	}, pagetable.Size4K, 500, 1), -1)))
-	f.Add(valid)
-	truncated := append([]byte(nil), valid[:len(valid)/2]...)
-	f.Add(truncated)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ps, err := decodeStreamFile(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeStreamFile(encodeStreamFile(ps))
-		if err != nil {
-			t.Fatalf("accepted file re-encodes to an invalid file: %v", err)
-		}
-		if again.numOps != ps.numOps || again.accesses != ps.accesses {
-			t.Fatalf("re-encoded totals %d/%d, want %d/%d",
-				again.numOps, again.accesses, ps.numOps, ps.accesses)
-		}
-	})
-}
-
 func BenchmarkPackedEncode(b *testing.B) {
 	prof := streamProfile("bench-encode")
 	ops := Collect(New(prof, pagetable.Size4K, 50_000, 42), -1)
@@ -277,4 +247,12 @@ func BenchmarkPackedDecode(b *testing.B) {
 			}
 		}
 	}
+}
+
+// packOps encodes a fixed op list into a completed packed stream.
+func packOps(ops []Op) *packedStream {
+	ps := newPackedStream()
+	ps.encodeChunks(NewFromOps("", ops))
+	ps.finish()
+	return ps
 }

@@ -13,11 +13,9 @@ func freshCache(t testing.TB, budget int64) {
 	t.Helper()
 	ResetStreamCache()
 	SetStreamCacheBudget(budget)
-	SetStreamCacheDir("")
 	t.Cleanup(func() {
 		ResetStreamCache()
 		SetStreamCacheBudget(DefaultStreamCacheBytes)
-		SetStreamCacheDir("")
 	})
 }
 
@@ -234,37 +232,23 @@ func TestStreamCacheEviction(t *testing.T) {
 }
 
 // TestResetStreamCacheRewindsClock pins that a reset restores the cache to
-// its fresh-process state: statistics zeroed and the LRU clock rewound, so
-// lastUse stamps after a reset are deterministic.
+// its fresh-process state: statistics zeroed, every stream dropped, and the
+// first request afterwards counted exactly as in a new process. The LRU
+// clock is the memo store's; memo's TestResetRewindsClock pins its rewind.
 func TestResetStreamCacheRewindsClock(t *testing.T) {
 	freshCache(t, DefaultStreamCacheBytes)
 	prof := streamProfile("clock")
-	for seed := int64(0); seed < 5; seed++ {
-		SharedStream(prof, pagetable.Size4K, 200, seed)
+	first := SharedStream(prof, pagetable.Size4K, 200, 0)
+	for seed := int64(1); seed < 5; seed++ {
+		SharedStream(prof, pagetable.Size4K, 200, seed).PackedBytes()
 	}
-	streamCache.mu.Lock()
-	clockBefore := streamCache.clock
-	streamCache.mu.Unlock()
-	if clockBefore != 5 {
-		t.Fatalf("clock = %d after 5 requests, want 5", clockBefore)
-	}
+	first.PackedBytes()
 	ResetStreamCache()
-	streamCache.mu.Lock()
-	clock := streamCache.clock
-	streamCache.mu.Unlock()
-	if clock != 0 {
-		t.Fatalf("clock = %d after reset, want 0", clock)
+	if info := StreamCacheInfo(); info != (StreamCacheSnapshot{}) {
+		t.Fatalf("after reset, StreamCacheInfo() = %+v, want zero", info)
 	}
-	s := SharedStream(prof, pagetable.Size4K, 200, 99)
-	s.PackedBytes()
-	streamCache.mu.Lock()
-	var lastUse uint64
-	for _, e := range streamCache.entries {
-		lastUse = e.lastUse
-	}
-	streamCache.mu.Unlock()
-	if lastUse != 1 {
-		t.Fatalf("first post-reset entry lastUse = %d, want 1", lastUse)
+	if SharedStream(prof, pagetable.Size4K, 200, 0) == first {
+		t.Fatal("a stream cached before the reset survived it")
 	}
 	info := StreamCacheInfo()
 	if info.Hits != 0 || info.Misses != 1 || info.Streams != 1 {
