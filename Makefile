@@ -10,10 +10,12 @@ check: vet build test race faults lint
 vet:
 	$(GO) vet ./...
 
-# lint mirrors CI's lint job. staticcheck and govulncheck are not vendored
-# and must not be auto-installed here (the build environment is offline);
-# when a tool is absent the target says so and moves on rather than failing.
+# lint mirrors CI's lint job. gofmt ships with the toolchain and gates
+# hard. staticcheck and govulncheck are not vendored and must not be
+# auto-installed here (the build environment is offline); when a tool is
+# absent the target says so and moves on rather than failing.
 lint:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -56,11 +58,13 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-micro runs the per-layer hot-path microbenchmarks (entry reads,
-# hardware walks, TLB probes, end-to-end accesses, stream generation and
+# hardware walks, TLB, PWC and nested TLB probes, the shared
+# set-associative array, end-to-end accesses, stream generation and
 # replay) over the same package list as CI's benchstat step.
 bench-micro:
 	$(GO) test -bench . -benchmem -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu ./internal/workload
+		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc \
+		./internal/cpu ./internal/workload
 
 # bench-compare diffs the current tree's microbenchmarks against the
 # baseline recorded in BENCH_PR9.json (BENCH_PR7.json, BENCH_PR6.json,
@@ -71,7 +75,8 @@ bench-micro:
 bench-compare:
 	@$(GO) run ./cmd/benchbaseline > /tmp/bench_baseline.txt
 	@$(GO) test -bench . -benchmem -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/cpu ./internal/workload \
+		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc \
+		./internal/cpu ./internal/workload \
 		> /tmp/bench_current.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat /tmp/bench_baseline.txt /tmp/bench_current.txt; \

@@ -9,122 +9,24 @@
 // resume in the correct mode.
 package ptwc
 
-import "fmt"
+import (
+	"fmt"
 
-// pwcLine is one cached partial translation.
-type pwcLine struct {
-	valid   bool
-	asid    uint16
-	tag     uint64
-	ptr     uint64 // host-physical address of the next table page
-	nested  bool   // agile extension: pointer is into the guest page table
-	lastUse uint64
+	"agilepaging/internal/setassoc"
+)
+
+// entry is the payload of one PWC or nested TLB line: a host-physical
+// pointer plus one bit. In the PWC the bit is the agile extension (the
+// pointer is into the guest page table); in the nested TLB it is the host
+// write permission.
+type entry struct {
+	ptr uint64
+	bit bool
 }
 
-// pwcArray is a small set-associative cache for one skip depth.
-type pwcArray struct {
-	sets  int
-	ways  int
-	lines []pwcLine
-	clock uint64
-	// Set counts are powers of two for every realistic geometry, letting
-	// the per-reference set index be a mask instead of a division; the
-	// modulo fallback keeps odd test geometries working.
-	setMask  uint64 // sets-1 when sets is a power of two
-	setsPow2 bool
-}
-
-func newPWCArray(entries, ways int) *pwcArray {
-	if entries < 1 {
-		entries = 1
-	}
-	if ways < 1 {
-		ways = 1
-	}
-	if ways > entries {
-		ways = entries
-	}
-	sets := entries / ways
-	if sets < 1 {
-		sets = 1
-	}
-	a := &pwcArray{sets: sets, ways: ways, lines: make([]pwcLine, sets*ways)}
-	if sets&(sets-1) == 0 {
-		a.setsPow2 = true
-		a.setMask = uint64(sets - 1)
-	}
-	return a
-}
-
-func (a *pwcArray) set(tag uint64) []pwcLine {
-	var s int
-	if a.setsPow2 {
-		s = int(tag & a.setMask)
-	} else {
-		s = int(tag % uint64(a.sets))
-	}
-	return a.lines[s*a.ways : (s+1)*a.ways]
-}
-
-func (a *pwcArray) lookup(asid uint16, tag uint64) (ptr uint64, nested, ok bool) {
-	a.clock++
-	set := a.set(tag)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.asid == asid && l.tag == tag {
-			l.lastUse = a.clock
-			return l.ptr, l.nested, true
-		}
-	}
-	return 0, false, false
-}
-
-func (a *pwcArray) insert(asid uint16, tag, ptr uint64, nested bool) {
-	a.clock++
-	set := a.set(tag)
-	victim := 0
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.asid == asid && l.tag == tag {
-			victim = i
-			break
-		}
-		if !l.valid {
-			victim = i
-			break
-		}
-		if l.lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	set[victim] = pwcLine{valid: true, asid: asid, tag: tag, ptr: ptr, nested: nested, lastUse: a.clock}
-}
-
-func (a *pwcArray) invalidate(asid uint16, tag uint64) {
-	set := a.set(tag)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.asid == asid && l.tag == tag {
-			l.valid = false
-		}
-	}
-}
-
-// reset empties the array and rewinds the LRU clock to its
-// post-construction state, so replacement decisions replay as on a fresh
-// array.
-func (a *pwcArray) reset() {
-	clear(a.lines)
-	a.clock = 0
-}
-
-func (a *pwcArray) flush(asid uint16, all bool) {
-	for i := range a.lines {
-		if a.lines[i].valid && (all || a.lines[i].asid == asid) {
-			a.lines[i].valid = false
-		}
-	}
-}
+// array is one set-associative cache of entries. Its lines are never
+// global: every match requires the owning ASID (or VMID).
+type array = setassoc.Array[entry]
 
 // Config sizes the three PWC arrays, indexed by the number of levels the
 // entry lets the walk skip (1, 2, or 3). Defaults mirror the three partial
@@ -150,7 +52,7 @@ type Stats struct {
 
 // PWC is a set of page walk caches covering skip depths 1..3.
 type PWC struct {
-	arrays [3]*pwcArray // index d => skip d+1 levels
+	arrays [3]*array // index d => skip d+1 levels
 	stats  Stats
 }
 
@@ -158,7 +60,7 @@ type PWC struct {
 func New(cfg Config) *PWC {
 	p := &PWC{}
 	for d := 0; d < 3; d++ {
-		p.arrays[d] = newPWCArray(cfg.Entries[d], cfg.Ways)
+		p.arrays[d] = setassoc.New[entry](cfg.Entries[d], cfg.Ways)
 	}
 	return p
 }
@@ -175,10 +77,10 @@ func tagFor(va uint64, skip int) uint64 {
 func (p *PWC) Lookup(asid uint16, va uint64) (ptr uint64, level int, nested, ok bool) {
 	p.stats.Lookups++
 	for d := 2; d >= 0; d-- {
-		if ptr, nested, ok := p.arrays[d].lookup(asid, tagFor(va, d+1)); ok {
+		if e, ok := p.arrays[d].Lookup(asid, tagFor(va, d+1)); ok {
 			p.stats.Hits++
 			p.stats.HitDepth[d]++
-			return ptr, d + 1, nested, true
+			return e.ptr, d + 1, e.bit, true
 		}
 	}
 	return 0, 0, false, false
@@ -190,28 +92,28 @@ func (p *PWC) Insert(asid uint16, va uint64, level int, ptr uint64, nested bool)
 	if level < 1 || level > 3 {
 		panic(fmt.Sprintf("ptwc: invalid insert level %d", level))
 	}
-	p.arrays[level-1].insert(asid, tagFor(va, level), ptr, nested)
+	p.arrays[level-1].Insert(asid, tagFor(va, level), false, entry{ptr: ptr, bit: nested})
 }
 
 // InvalidateVA drops all partial translations covering va for asid, as the
 // VMM must when it changes the mode or structure of upper-level entries.
 func (p *PWC) InvalidateVA(asid uint16, va uint64) {
 	for d := 0; d < 3; d++ {
-		p.arrays[d].invalidate(asid, tagFor(va, d+1))
+		p.arrays[d].Invalidate(asid, tagFor(va, d+1))
 	}
 }
 
 // FlushASID drops all entries of one address space.
 func (p *PWC) FlushASID(asid uint16) {
 	for d := 0; d < 3; d++ {
-		p.arrays[d].flush(asid, false)
+		p.arrays[d].Flush(asid, false, false)
 	}
 }
 
 // FlushAll empties the PWC.
 func (p *PWC) FlushAll() {
 	for d := 0; d < 3; d++ {
-		p.arrays[d].flush(0, true)
+		p.arrays[d].Flush(0, true, false)
 	}
 }
 
@@ -225,7 +127,7 @@ func (p *PWC) ResetStats() { p.stats = Stats{} }
 // emptied with their LRU clocks rewound, statistics zeroed.
 func (p *PWC) Reset() {
 	for d := 0; d < 3; d++ {
-		p.arrays[d].reset()
+		p.arrays[d].Reset()
 	}
 	p.stats = Stats{}
 }

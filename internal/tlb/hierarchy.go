@@ -1,9 +1,16 @@
+// Package tlb models the per-core TLB hierarchy of the evaluation machine
+// (paper Table III: Intel Sandy Bridge): split L1 instruction/data TLBs with
+// separate arrays per page size, backed by a unified L2 TLB. Entries map a
+// virtual page directly to a host-physical page — under virtualization the
+// cached translation is gVA⇒hPA regardless of technique (paper Table I).
+// Every array is a setassoc.Array tagged by virtual page number.
 package tlb
 
 import (
 	"fmt"
 
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/setassoc"
 )
 
 // ArrayConfig sizes one TLB array. Entries <= 0 means the array is absent
@@ -103,19 +110,34 @@ type Result struct {
 	Level int // 1 = L1 hit, 2 = L2 hit
 }
 
-// probe pairs an array with its page size, so Lookup walks a precomputed
-// dense list of present arrays instead of re-testing nil slots per access.
+// entry is the payload of one TLB line: the host-physical page base and
+// the leaf flags of the cached translation.
+type entry struct {
+	paBase uint64
+	flags  pagetable.Entry
+}
+
+// array is one TLB array; its tags are virtual page numbers (va >> shift).
+type array = setassoc.Array[entry]
+
+// pageShift is log2 of each page size: the VPN of va is va >> pageShift.
+var pageShift = [3]uint{pagetable.Size4K: 12, pagetable.Size2M: 21, pagetable.Size1G: 30}
+
+// probe pairs an array with its page size and VPN shift, so Lookup walks a
+// precomputed dense list of present arrays instead of re-testing nil slots
+// per access.
 type probe struct {
-	c    *setAssoc
-	size pagetable.Size
+	a     *array
+	shift uint
+	size  pagetable.Size
 }
 
 // Hierarchy is a per-core two-level TLB.
 type Hierarchy struct {
 	cfg   Config
-	d1    [3]*setAssoc // indexed by pagetable.Size
-	i1    [3]*setAssoc
-	l2    [3]*setAssoc
+	d1    [3]*array // indexed by pagetable.Size
+	i1    [3]*array
+	l2    [3]*array
 	stats Stats
 
 	// Precomputed hot-path views (built once in NewHierarchy): per-side
@@ -125,7 +147,7 @@ type Hierarchy struct {
 	d1probe []probe
 	i1probe []probe
 	l2probe []probe
-	all     []*setAssoc
+	all     []probe
 
 	// gen is the invalidation generation: it advances on every
 	// InvalidatePage/FlushASID/FlushAll, never on lookups or inserts. A
@@ -140,36 +162,36 @@ type Hierarchy struct {
 // NewHierarchy builds the hierarchy from cfg. Arrays with zero entries are
 // absent and never hit.
 func NewHierarchy(cfg Config) *Hierarchy {
-	mk := func(size pagetable.Size, a ArrayConfig) *setAssoc {
+	mk := func(a ArrayConfig) *array {
 		if a.Entries <= 0 {
 			return nil
 		}
-		return newSetAssoc(size, a.Entries, a.Ways)
+		return setassoc.New[entry](a.Entries, a.Ways)
 	}
 	h := &Hierarchy{
 		cfg: cfg,
-		d1: [3]*setAssoc{
-			pagetable.Size4K: mk(pagetable.Size4K, cfg.L1D4K),
-			pagetable.Size2M: mk(pagetable.Size2M, cfg.L1D2M),
-			pagetable.Size1G: mk(pagetable.Size1G, cfg.L1D1G),
+		d1: [3]*array{
+			pagetable.Size4K: mk(cfg.L1D4K),
+			pagetable.Size2M: mk(cfg.L1D2M),
+			pagetable.Size1G: mk(cfg.L1D1G),
 		},
-		i1: [3]*setAssoc{
-			pagetable.Size4K: mk(pagetable.Size4K, cfg.L1I4K),
-			pagetable.Size2M: mk(pagetable.Size2M, cfg.L1I2M),
+		i1: [3]*array{
+			pagetable.Size4K: mk(cfg.L1I4K),
+			pagetable.Size2M: mk(cfg.L1I2M),
 		},
-		l2: [3]*setAssoc{
-			pagetable.Size4K: mk(pagetable.Size4K, cfg.L24K),
-			pagetable.Size2M: mk(pagetable.Size2M, cfg.L22M),
+		l2: [3]*array{
+			pagetable.Size4K: mk(cfg.L24K),
+			pagetable.Size2M: mk(cfg.L22M),
 		},
 	}
-	probes := func(group *[3]*setAssoc) []probe {
+	probes := func(group *[3]*array) []probe {
 		var ps []probe
-		for sz, c := range group {
-			if c != nil {
-				ps = append(ps, probe{c: c, size: pagetable.Size(sz)})
-				h.all = append(h.all, c)
+		for sz, a := range group {
+			if a != nil {
+				ps = append(ps, probe{a: a, shift: pageShift[sz], size: pagetable.Size(sz)})
 			}
 		}
+		h.all = append(h.all, ps...)
 		return ps
 	}
 	h.d1probe = probes(&h.d1)
@@ -207,8 +229,8 @@ func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 // any caller-held memo tagged with an older generation is invalid by
 // construction — exactly as after a FlushAll.
 func (h *Hierarchy) Reset() {
-	for _, c := range h.all {
-		c.reset()
+	for _, p := range h.all {
+		p.a.Reset()
 	}
 	h.stats = Stats{}
 	h.gen++
@@ -223,18 +245,19 @@ func (h *Hierarchy) Lookup(asid uint16, va uint64, fetch bool) (Result, bool) {
 		l1, l1probe = &h.i1, h.i1probe
 	}
 	for _, p := range l1probe {
-		if pa, flags, ok := p.c.lookup(asid, va); ok {
+		if e, ok := p.a.Lookup(asid, va>>p.shift); ok {
 			h.stats.L1Hits++
-			return Result{PA: pa | va&p.size.Mask(), Size: p.size, Flags: flags, Level: 1}, true
+			return Result{PA: e.paBase | va&p.size.Mask(), Size: p.size, Flags: e.flags, Level: 1}, true
 		}
 	}
 	for _, p := range h.l2probe {
-		if pa, flags, ok := p.c.lookup(asid, va); ok {
+		vpn := va >> p.shift
+		if e, ok := p.a.Lookup(asid, vpn); ok {
 			h.stats.L2Hits++
 			if refill := l1[p.size]; refill != nil {
-				refill.insert(asid, pagetable.PageBase(va, p.size), pa, flags)
+				refill.Insert(asid, vpn, e.flags&pagetable.FlagGlobal != 0, e)
 			}
-			return Result{PA: pa | va&p.size.Mask(), Size: p.size, Flags: flags, Level: 2}, true
+			return Result{PA: e.paBase | va&p.size.Mask(), Size: p.size, Flags: e.flags, Level: 2}, true
 		}
 	}
 	h.stats.Misses++
@@ -244,16 +267,18 @@ func (h *Hierarchy) Lookup(asid uint16, va uint64, fetch bool) (Result, bool) {
 // Insert fills the translation for va into the L1 (and L2 when present)
 // arrays for its page size, as a hardware walker does after a walk.
 func (h *Hierarchy) Insert(asid uint16, va uint64, size pagetable.Size, paBase uint64, flags pagetable.Entry, fetch bool) {
-	base := pagetable.PageBase(va, size)
+	vpn := va >> pageShift[size]
+	global := flags&pagetable.FlagGlobal != 0
+	e := entry{paBase: paBase, flags: flags}
 	l1 := &h.d1
 	if fetch {
 		l1 = &h.i1
 	}
-	if c := l1[size]; c != nil {
-		c.insert(asid, base, paBase, flags)
+	if a := l1[size]; a != nil {
+		a.Insert(asid, vpn, global, e)
 	}
-	if c := h.l2[size]; c != nil {
-		c.insert(asid, base, paBase, flags)
+	if a := h.l2[size]; a != nil {
+		a.Insert(asid, vpn, global, e)
 	}
 }
 
@@ -262,8 +287,8 @@ func (h *Hierarchy) Insert(asid uint16, va uint64, size pagetable.Size, paBase u
 func (h *Hierarchy) InvalidatePage(asid uint16, va uint64) {
 	h.stats.Invalids++
 	h.gen++
-	for _, c := range h.all {
-		c.invalidate(asid, va)
+	for _, p := range h.all {
+		p.a.Invalidate(asid, va>>p.shift)
 	}
 }
 
@@ -272,8 +297,8 @@ func (h *Hierarchy) InvalidatePage(asid uint16, va uint64) {
 func (h *Hierarchy) FlushASID(asid uint16) {
 	h.stats.Flushes++
 	h.gen++
-	for _, c := range h.all {
-		c.flush(asid, false, true)
+	for _, p := range h.all {
+		p.a.Flush(asid, false, true)
 	}
 }
 
@@ -281,29 +306,9 @@ func (h *Hierarchy) FlushASID(asid uint16) {
 func (h *Hierarchy) FlushAll() {
 	h.stats.Flushes++
 	h.gen++
-	for _, c := range h.all {
-		c.flush(0, true, false)
+	for _, p := range h.all {
+		p.a.Flush(0, true, false)
 	}
-}
-
-// Occupancy reports valid entries per level for debugging.
-func (h *Hierarchy) Occupancy() (l1, l2 int) {
-	for _, c := range h.d1 {
-		if c != nil {
-			l1 += c.occupancy()
-		}
-	}
-	for _, c := range h.i1 {
-		if c != nil {
-			l1 += c.occupancy()
-		}
-	}
-	for _, c := range h.l2 {
-		if c != nil {
-			l2 += c.occupancy()
-		}
-	}
-	return l1, l2
 }
 
 // String summarizes the configuration.
