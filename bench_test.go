@@ -39,15 +39,6 @@ const (
 	benchSeed     = 42
 )
 
-// -machine-pool-off reruns the sweep benchmarks with machine pooling
-// disabled — the construct-per-run lifecycle — so the pool's win can be
-// measured as an A/B on one tree:
-//
-//	go test -bench CompareSweep -benchmem -run '^$' .                    # pooled
-//	go test -bench CompareSweep -benchmem -run '^$' . -machine-pool-off  # fresh builds
-var machinePoolOff = flag.Bool("machine-pool-off", false,
-	"disable the machine pool (construct-per-run baseline for the sweep benchmarks)")
-
 // -stream-cold drops the shared stream cache before every sweep iteration,
 // so each one pays full workload generation — the cold path a fresh process
 // hits. The default (warm) keeps streams cached across iterations:
@@ -56,19 +47,6 @@ var machinePoolOff = flag.Bool("machine-pool-off", false,
 //	go test -bench Figure5Serial -benchmem -run '^$' . -stream-cold  # cold
 var streamCold = flag.Bool("stream-cold", false,
 	"reset the shared workload stream cache every sweep iteration (cold-generation baseline)")
-
-// applyPoolMode configures the machine pool per the -machine-pool-off flag
-// and starts the benchmark from a cold pool either way, so pooled runs
-// measure the steady state a sweep reaches rather than leftovers of the
-// previous benchmark.
-func applyPoolMode(b *testing.B) {
-	b.Helper()
-	cpu.ResetMachinePool()
-	if *machinePoolOff {
-		cpu.SetMachinePoolCapacity(0)
-		b.Cleanup(func() { cpu.SetMachinePoolCapacity(cpu.DefaultMachinePoolCapacity) })
-	}
-}
 
 // BenchmarkTableI regenerates paper Table I: per-technique walk cost and
 // page-table update cost.
@@ -153,7 +131,9 @@ func BenchmarkFigure5Serial(b *testing.B)   { benchFigure5Sweep(b, 1) }
 func BenchmarkFigure5Parallel(b *testing.B) { benchFigure5Sweep(b, 0) }
 
 func benchFigure5Sweep(b *testing.B, workers int) {
-	applyPoolMode(b)
+	// Sweep benchmarks start from a cold machine pool, so they measure the
+	// steady state a sweep reaches, not the previous benchmark's leftovers.
+	cpu.ResetMachinePool()
 	for i := 0; i < b.N; i++ {
 		// Drop memoized reports so every iteration simulates: these
 		// benchmarks track simulation cost across PRs, not cache lookups
@@ -178,7 +158,7 @@ func benchFigure5Sweep(b *testing.B, workers int) {
 // (page-size) op streams, so this benchmark isolates the benefit of
 // op-stream sharing across techniques.
 func BenchmarkCompareSweep(b *testing.B) {
-	applyPoolMode(b)
+	cpu.ResetMachinePool()
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
 		res, err := experiments.Figure5Sweep(context.Background(), sweep.Config{Workers: 1}, []string{"dedup"}, benchAccesses, benchSeed)
@@ -423,14 +403,14 @@ func BenchmarkRunAllDeduped(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		applyPoolMode(b)
+		cpu.ResetMachinePool()
 		for i := 0; i < b.N; i++ {
 			repcache.Reset()
 			run(b)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		applyPoolMode(b)
+		cpu.ResetMachinePool()
 		repcache.Reset()
 		run(b) // prime
 		b.ResetTimer()
@@ -445,7 +425,7 @@ func BenchmarkRunAllDeduped(b *testing.B) {
 // already simulated its cells. Compare against BenchmarkFigure5Parallel
 // (same sweep, cache dropped per iteration) for the memoization win.
 func BenchmarkFigure5SweepWarm(b *testing.B) {
-	applyPoolMode(b)
+	cpu.ResetMachinePool()
 	repcache.Reset()
 	sweepOnce := func() {
 		res, err := experiments.Figure5Sweep(context.Background(), sweep.Config{}, nil, benchAccesses, benchSeed)

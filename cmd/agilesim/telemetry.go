@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"agilepaging/internal/experiments"
 	"agilepaging/internal/pagetable"
@@ -32,7 +30,7 @@ type telemetryRun struct {
 // runWithTelemetry runs one workload with the epoch recorder (and,
 // optionally, the walk-event ring) attached, prints the adaptation table,
 // and writes the requested export files.
-func runWithTelemetry(r telemetryRun) error {
+func runWithTelemetry(stdout io.Writer, r telemetryRun) error {
 	mode, err := walker.ParseMode(r.technique)
 	if err != nil {
 		return err
@@ -63,40 +61,21 @@ func runWithTelemetry(r telemetryRun) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(rep.String())
+	fmt.Fprintln(stdout, rep.String())
 	s := rec.Series()
-	fmt.Print(s.Table())
+	fmt.Fprint(stdout, s.Table())
 
 	if r.metrics != "" {
-		if err := writeSeries(r.metrics, s); err != nil {
+		if err := s.WriteFile(r.metrics); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d epochs to %s\n", len(s.Epochs), r.metrics)
+		fmt.Fprintf(stdout, "wrote %d epochs to %s\n", len(s.Epochs), r.metrics)
 	}
 	if r.walkTrace != "" {
-		if err := writeFile(r.walkTrace, ring.WriteChromeTrace); err != nil {
+		if err := ring.WriteChromeTraceFile(r.walkTrace); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d walk events to %s (chrome://tracing)\n", len(ring.Events()), r.walkTrace)
+		fmt.Fprintf(stdout, "wrote %d walk events to %s (chrome://tracing)\n", len(ring.Events()), r.walkTrace)
 	}
 	return nil
-}
-
-// writeSeries exports the series by extension: .csv selects CSV, anything
-// else the self-describing JSON form.
-func writeSeries(path string, s *telemetry.Series) error {
-	write := s.WriteJSON
-	if strings.HasSuffix(path, ".csv") {
-		write = s.WriteCSV
-	}
-	return writeFile(path, write)
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return write(f)
 }

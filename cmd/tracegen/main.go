@@ -39,7 +39,7 @@ func main() {
 		analyze   = flag.String("analyze", "", "summarize a saved TLB-miss log")
 		name      = flag.String("workload", "dedup", "workload name")
 		technique = flag.String("technique", "agile", "native | nested | shadow | agile")
-		pageSize  = flag.String("pagesize", "4K", "4K | 2M")
+		pageSize  = flag.String("pagesize", "4K", "4K | 2M | 1G")
 		accesses  = flag.Int("accesses", 120_000, "steady-phase accesses")
 		seed      = flag.Int64("seed", 42, "random seed")
 	)

@@ -88,10 +88,7 @@ func TestResetAllocFree(t *testing.T) {
 // nothing.
 func TestPooledReacquireAllocFree(t *testing.T) {
 	ResetMachinePool()
-	t.Cleanup(func() {
-		ResetMachinePool()
-		SetMachinePoolCapacity(DefaultMachinePoolCapacity)
-	})
+	t.Cleanup(ResetMachinePool)
 	cfg := smallConfig(walker.ModeNested, pagetable.Size4K)
 	m, err := AcquireMachine(cfg)
 	if err != nil {

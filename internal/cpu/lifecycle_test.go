@@ -290,10 +290,7 @@ func TestConfigNormalizationRoundTrip(t *testing.T) {
 // geometry-keyed pool.
 func TestMachinePool(t *testing.T) {
 	ResetMachinePool()
-	t.Cleanup(func() {
-		ResetMachinePool()
-		SetMachinePoolCapacity(DefaultMachinePoolCapacity)
-	})
+	t.Cleanup(ResetMachinePool)
 	cfg := smallConfig(walker.ModeNested, pagetable.Size4K)
 
 	m1, err := AcquireMachine(cfg)
@@ -341,15 +338,15 @@ func TestMachinePool(t *testing.T) {
 		t.Errorf("after cross-geometry acquire: hits=%d misses=%d idle=%d", hits, misses, idle)
 	}
 
-	// Capacity 0 disables pooling: idle machines are evicted and further
-	// releases are retired.
-	SetMachinePoolCapacity(0)
-	if _, _, _, idle := MachinePoolStats(); idle != 0 {
-		t.Errorf("idle after disabling pool = %d, want 0", idle)
-	}
+	// A full pool retires further releases: with m2 idle, releasing m3 and
+	// DefaultMachinePoolCapacity-1 more machines fills it, and the last
+	// release is dropped.
 	ReleaseMachine(m3)
-	if _, _, retired, idle := MachinePoolStats(); retired != 1 || idle != 0 {
-		t.Errorf("release into disabled pool: retired=%d idle=%d", retired, idle)
+	for i := 0; i < DefaultMachinePoolCapacity-1; i++ {
+		ReleaseMachine(newMachine(t, cfg))
+	}
+	if _, _, retired, idle := MachinePoolStats(); retired != 1 || idle != DefaultMachinePoolCapacity {
+		t.Errorf("release into full pool: retired=%d idle=%d, want 1 and %d", retired, idle, DefaultMachinePoolCapacity)
 	}
 	ReleaseMachine(nil) // no-op
 }
@@ -358,10 +355,7 @@ func TestMachinePool(t *testing.T) {
 // reacquired machine reports bit-identically to a run on a fresh one.
 func TestPooledRunEquivalence(t *testing.T) {
 	ResetMachinePool()
-	t.Cleanup(func() {
-		ResetMachinePool()
-		SetMachinePoolCapacity(DefaultMachinePoolCapacity)
-	})
+	t.Cleanup(ResetMachinePool)
 	cfg := smallConfig(walker.ModeAgile, pagetable.Size4K)
 	ops := workload.Collect(workload.New(lifecycleProfiles[1], cfg.PageSize, 2000, 7), -1)
 

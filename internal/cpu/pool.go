@@ -19,16 +19,14 @@ const DefaultMachinePoolCapacity = 16
 
 // machinePool is the process-wide idle-machine pool.
 var machinePool = struct {
-	mu       sync.Mutex
-	idle     map[Geometry][]*Machine
-	count    int // total idle machines across all geometries
-	capacity int
-	hits     uint64
-	misses   uint64
-	retired  uint64 // machines handed to Release but dropped (pool full or disabled)
+	mu      sync.Mutex
+	idle    map[Geometry][]*Machine
+	count   int // total idle machines across all geometries
+	hits    uint64
+	misses  uint64
+	retired uint64 // machines handed to Release but dropped (pool full)
 }{
-	idle:     make(map[Geometry][]*Machine),
-	capacity: DefaultMachinePoolCapacity,
+	idle: make(map[Geometry][]*Machine),
 }
 
 // AcquireMachine returns a machine for cfg: a pooled machine of matching
@@ -62,9 +60,8 @@ func AcquireMachine(cfg Config) (*Machine, error) {
 }
 
 // ReleaseMachine returns a machine to the pool for later reuse. The caller
-// must not touch m afterwards. Machines beyond the pool's capacity (or all
-// machines, when the capacity is 0) are dropped to the garbage collector.
-// Passing nil is a no-op.
+// must not touch m afterwards. Machines beyond DefaultMachinePoolCapacity
+// are dropped to the garbage collector. Passing nil is a no-op.
 func ReleaseMachine(m *Machine) {
 	if m == nil {
 		return
@@ -72,7 +69,7 @@ func ReleaseMachine(m *Machine) {
 	geo := m.cfg.Geometry()
 	p := &machinePool
 	p.mu.Lock()
-	if p.count < p.capacity {
+	if p.count < DefaultMachinePoolCapacity {
 		p.idle[geo] = append(p.idle[geo], m)
 		p.count++
 	} else {
@@ -83,38 +80,13 @@ func ReleaseMachine(m *Machine) {
 
 // MachinePoolStats reports pool effectiveness: hits are acquisitions served
 // by resetting an idle machine, misses built fresh, retired counts machines
-// dropped at Release because the pool was full or disabled, and idle is the
+// dropped at Release because the pool was full, and idle is the
 // current pooled-machine count.
 func MachinePoolStats() (hits, misses, retired uint64, idle int) {
 	p := &machinePool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.hits, p.misses, p.retired, p.count
-}
-
-// SetMachinePoolCapacity bounds the number of idle machines retained.
-// capacity <= 0 disables pooling: acquisitions always build fresh and
-// releases drop immediately (existing idle machines are freed).
-func SetMachinePoolCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	p := &machinePool
-	p.mu.Lock()
-	p.capacity = capacity
-	for geo, ms := range p.idle {
-		for p.count > capacity && len(ms) > 0 {
-			ms[len(ms)-1] = nil
-			ms = ms[:len(ms)-1]
-			p.count--
-		}
-		if len(ms) == 0 {
-			delete(p.idle, geo)
-		} else {
-			p.idle[geo] = ms
-		}
-	}
-	p.mu.Unlock()
 }
 
 // ResetMachinePool drops every idle machine and zeroes the statistics

@@ -313,11 +313,6 @@ func Stats() (hits, misses, deduped uint64) {
 	return info.Hits, info.Misses, info.Deduped
 }
 
-// SetBudget sets the in-memory byte budget. budget == 0 disables
-// memoization entirely (every Do computes, and the disk tier is skipped);
-// budget < 0 removes the bound. Shrinking evicts immediately.
-func SetBudget(budget int64) { reports.SetBudget(budget) }
-
 // SetDir sets the persistent report-cache directory. When non-empty,
 // computed reports are written there and later misses are satisfied from
 // valid files instead of simulating. "" (the default) disables the disk

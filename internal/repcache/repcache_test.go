@@ -47,7 +47,7 @@ func reset(t *testing.T) {
 	t.Helper()
 	restore := func() {
 		Reset()
-		SetBudget(DefaultBudgetBytes)
+		reports.SetBudget(DefaultBudgetBytes)
 		SetDir("")
 	}
 	restore()
@@ -350,7 +350,7 @@ func TestDoErrorNotCached(t *testing.T) {
 
 func TestBudgetZeroDisables(t *testing.T) {
 	reset(t)
-	SetBudget(0)
+	reports.SetBudget(0)
 	var computes atomic.Int64
 	for i := 0; i < 3; i++ {
 		if _, err := Do("k", func() (cpu.Report, error) {
@@ -371,7 +371,7 @@ func TestBudgetZeroDisables(t *testing.T) {
 func TestEvictionLRU(t *testing.T) {
 	reset(t)
 	perEntry := reportBaseBytes + entryOverhead + 64 // generous per-entry estimate
-	SetBudget(3 * perEntry)
+	reports.SetBudget(3 * perEntry)
 
 	store := func(key string, i int) {
 		t.Helper()

@@ -127,3 +127,8 @@ func (r *EventRing) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
+
+// WriteChromeTraceFile writes the WriteChromeTrace export to path.
+func (r *EventRing) WriteChromeTraceFile(path string) error {
+	return writeFile(path, r.WriteChromeTrace)
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"text/tabwriter"
 
@@ -36,6 +37,29 @@ func (s *Series) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// WriteFile exports the series to path: CSV when the path ends in .csv,
+// the self-describing JSON form otherwise.
+func (s *Series) WriteFile(path string) error {
+	write := s.WriteJSON
+	if strings.HasSuffix(path, ".csv") {
+		write = s.WriteCSV
+	}
+	return writeFile(path, write)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // csvHeader is the column set of WriteCSV: the raw interval counts plus

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -176,6 +178,18 @@ func TestSeriesExports(t *testing.T) {
 	// update_cost column: 6900 cycles / 2 updates.
 	if fields[13] != "3450.0" {
 		t.Errorf("update_cost cell = %q", fields[13])
+	}
+
+	// WriteFile picks the format by extension: .csv is CSV, anything else JSON.
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"s.csv": csvBuf.Bytes(), "s.json": jsonBuf.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := s.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("WriteFile(%s) = %q, %v; want %q", name, got, err, want)
+		}
 	}
 
 	table := s.Table()

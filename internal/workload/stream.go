@@ -187,11 +187,6 @@ func StreamCacheStats() (hits, misses uint64, bytes int64) {
 	return info.Hits, info.Misses, info.Bytes
 }
 
-// SetStreamCacheBudget sets the cache's byte budget. budget == 0 disables
-// caching entirely (every SharedStream call generates a private stream);
-// budget < 0 removes the bound. Shrinking evicts immediately.
-func SetStreamCacheBudget(budget int64) { streams.SetBudget(budget) }
-
 // ResetStreamCache drops every cached stream and rewinds all cache state —
 // statistics and the LRU clock included — so cache behaviour after a reset
 // is exactly that of a fresh process (tests and memory-sensitive callers).

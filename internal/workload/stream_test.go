@@ -12,10 +12,10 @@ import (
 func freshCache(t testing.TB, budget int64) {
 	t.Helper()
 	ResetStreamCache()
-	SetStreamCacheBudget(budget)
+	streams.SetBudget(budget)
 	t.Cleanup(func() {
 		ResetStreamCache()
-		SetStreamCacheBudget(DefaultStreamCacheBytes)
+		streams.SetBudget(DefaultStreamCacheBytes)
 	})
 }
 

@@ -34,23 +34,23 @@ func lifecycleScenario() *Scenario {
 // technique.
 func TestScenarioReplayPooledEquivalence(t *testing.T) {
 	cpu.ResetMachinePool()
-	// Disable the report cache: this test is about pooled-machine replays, so
-	// every Run must really re-simulate rather than return a stored report.
-	repcache.SetBudget(0)
 	t.Cleanup(func() {
 		cpu.ResetMachinePool()
-		cpu.SetMachinePoolCapacity(cpu.DefaultMachinePoolCapacity)
 		repcache.Reset()
-		repcache.SetBudget(repcache.DefaultBudgetBytes)
 	})
 	for _, tech := range []Technique{Native, Nested, Shadow, Agile} {
 		t.Run(tech.String(), func(t *testing.T) {
 			cfg := ScenarioConfig{Technique: tech, PageSize: Page4K}
+			// Drop stored reports before every replay: this test is about
+			// pooled-machine replays, so every Run must really re-simulate
+			// rather than return a stored report.
+			repcache.Reset()
 			first, err := lifecycleScenario().Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
+				repcache.Reset()
 				again, err := lifecycleScenario().Run(cfg)
 				if err != nil {
 					t.Fatalf("replay %d: %v", i, err)
