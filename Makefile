@@ -59,11 +59,12 @@ bench:
 
 # bench-micro runs the per-layer hot-path microbenchmarks (entry reads,
 # hardware walks, TLB, PWC and nested TLB probes, the shared
-# set-associative array, end-to-end accesses, stream generation and
-# replay) over the same package list as CI's benchstat step.
+# set-associative array, guest-table lookups and shadow fills, end-to-end
+# accesses, stream generation and replay) over the same package list as
+# CI's benchstat step.
 bench-micro:
 	$(GO) test -bench . -benchmem -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc \
+		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc ./internal/vmm \
 		./internal/cpu ./internal/workload
 
 # bench-compare diffs the current tree's microbenchmarks against the
@@ -75,7 +76,7 @@ bench-micro:
 bench-compare:
 	@$(GO) run ./cmd/benchbaseline > /tmp/bench_baseline.txt
 	@$(GO) test -bench . -benchmem -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc \
+		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc ./internal/vmm \
 		./internal/cpu ./internal/workload \
 		> /tmp/bench_current.txt
 	@if command -v benchstat >/dev/null 2>&1; then \

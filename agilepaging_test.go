@@ -3,10 +3,12 @@ package agilepaging
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"agilepaging/internal/cpu"
 	"agilepaging/internal/repcache"
 )
 
@@ -249,6 +251,42 @@ func TestScenarioCOWSnapshot(t *testing.T) {
 	}
 	if agile.SwitchesToNested == 0 {
 		t.Error("agile never adapted")
+	}
+}
+
+// TestScenarioRejectsVAsAbove48Bits: the page tables translate 48 VA bits,
+// so an address with a higher bit set used to alias the mapped page below
+// it and succeed with no fault. Every technique must now refuse it, and an
+// mmap reaching past 2^48, with a cpu.VAError.
+func TestScenarioRejectsVAsAbove48Bits(t *testing.T) {
+	const base = uint64(0x1000_0000)
+	mapped := func() *Scenario {
+		return NewScenario().Map(0, base, 1<<20, Page4K).Populate(0, base)
+	}
+	cases := map[string]*Scenario{
+		"touch bit 48":  mapped().Touch(0, base|1<<48),
+		"touch bit 63":  mapped().Touch(0, base|1<<63),
+		"write bit 48":  mapped().Write(0, base|1<<48),
+		"fetch bit 63":  mapped().Fetch(0, base|1<<63),
+		"map at 2^48":   NewScenario().Map(0, 1<<48, 1<<20, Page4K),
+		"map past 2^48": NewScenario().Map(0, 1<<48-1<<20, 2<<20, Page4K),
+		"populate":      mapped().Populate(0, base|1<<48),
+		"snapshot":      mapped().Snapshot(0, base|1<<48),
+		"unmap":         mapped().Unmap(0, base|1<<48),
+		"promote":       mapped().Promote(0, base|1<<48),
+	}
+	for _, tech := range Techniques() {
+		if _, err := mapped().Touch(0, base).Run(ScenarioConfig{Technique: tech, PageSize: Page4K}); err != nil {
+			t.Fatalf("%v: in-range touch: %v", tech, err)
+		}
+		for name, s := range cases {
+			res, err := s.Run(ScenarioConfig{Technique: tech, PageSize: Page4K})
+			var vaErr *cpu.VAError
+			if !errors.As(err, &vaErr) {
+				t.Errorf("%v/%s: err = %v (GuestFaults=%d, TLBMisses=%d), want a *cpu.VAError",
+					tech, name, err, res.GuestFaults, res.TLBMisses)
+			}
+		}
 	}
 }
 

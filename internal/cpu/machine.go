@@ -563,8 +563,47 @@ func (m *Machine) coreFor(op workload.Op) int {
 	return m.coreIndex(op.Core)
 }
 
+// vaLimit is the first virtual address outside the translated address
+// space. The page tables index only bits below pagetable.VABits, so a VA at
+// or above it would alias a mapped page instead of faulting.
+const vaLimit = uint64(1) << pagetable.VABits
+
+// VAError rejects an op whose virtual address range reaches past the
+// translated address space (see vaLimit).
+type VAError struct {
+	VA  uint64
+	Len uint64 // bytes from VA the op covers; 0 for a single address
+}
+
+func (e *VAError) Error() string {
+	if e.Len == 0 {
+		return fmt.Sprintf("cpu: virtual address %#x is not below 2^%d", e.VA, pagetable.VABits)
+	}
+	return fmt.Sprintf("cpu: virtual range %#x+%#x is not below 2^%d", e.VA, e.Len, pagetable.VABits)
+}
+
+// checkVA validates the VA of an OS op that names an address, and the
+// whole range of an mmap. Accesses are checked in translate, which every
+// access path shares.
+func checkVA(op *workload.Op) error {
+	switch op.Kind {
+	case workload.OpMmap:
+		if op.VA >= vaLimit || op.Len > vaLimit-op.VA {
+			return &VAError{VA: op.VA, Len: op.Len}
+		}
+	case workload.OpPopulate, workload.OpMunmap, workload.OpMarkCOW, workload.OpCollapse:
+		if op.VA >= vaLimit {
+			return &VAError{VA: op.VA}
+		}
+	}
+	return nil
+}
+
 // Exec executes one op.
 func (m *Machine) Exec(op workload.Op) error {
+	if err := checkVA(&op); err != nil {
+		return err
+	}
 	switch op.Kind {
 	case workload.OpCreateProcess:
 		_, err := m.OS.CreateProcess(op.PID, asidFor(op.PID))
@@ -668,6 +707,9 @@ func (m *Machine) accessOn(coreIdx int, va uint64, write, fetch bool) error {
 // translate runs the translation loop of one access: TLB probe, hardware
 // walk, fault servicing, permission upgrades, and retry.
 func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, fetch bool) error {
+	if va >= vaLimit {
+		return &VAError{VA: va}
+	}
 	m.stats.Accesses++
 	if write {
 		m.stats.Writes++
@@ -699,18 +741,7 @@ func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, 
 				}
 				continue
 			}
-			c.l0 = l0Memo{
-				gen:      c.tlbs.Gen(),
-				base:     va &^ r.Size.Mask(),
-				mask:     r.Size.Mask(),
-				asid:     c.regs.ASID,
-				fetch:    fetch,
-				writable: r.Flags.Writable(),
-				valid:    true,
-			}
-			if m.accessObs != nil {
-				m.accessObs(va, write, r.PA, r.Size)
-			}
+			m.tlbHit(c, va, write, fetch, r)
 			return nil
 		}
 		m.stats.TLBMisses++
@@ -735,13 +766,21 @@ func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, 
 					Cycles:       cycles,
 				})
 			}
-			c.tlbs.Insert(c.regs.ASID, va, res.Size, res.HPA&^res.Size.Mask(), res.Flags, fetch)
+			paBase := res.HPA &^ res.Size.Mask()
 			if write && !res.Flags.Writable() {
+				c.tlbs.Insert(c.regs.ASID, va, res.Size, paBase, res.Flags, fetch)
 				if err := m.writeProtFault(c, cur, va); err != nil {
 					return err
 				}
+				continue // re-probe the TLB (entry may have been upgraded)
 			}
-			continue // re-probe the TLB (entry may have been upgraded)
+			// The probe just missed, so the fill is the L1 hit a re-probe
+			// would find (see tlb.Hierarchy.Fill).
+			if r, ok := c.tlbs.Fill(c.regs.ASID, va, res.Size, paBase, res.Flags, fetch); ok {
+				m.tlbHit(c, va, write, fetch, r)
+				return nil
+			}
+			continue // no L1 array for this size on this side: re-probe
 		}
 		m.chargeWalk(fault.Refs, fault.HostRefs)
 		if err := m.handleFault(c, cur, va, write, fault); err != nil {
@@ -749,6 +788,23 @@ func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, 
 		}
 	}
 	return fmt.Errorf("cpu: access %#x did not converge", va)
+}
+
+// tlbHit completes an access that hit the TLB: it records the L0 memo and
+// reports the translation to the access observer.
+func (m *Machine) tlbHit(c *coreState, va uint64, write, fetch bool, r tlb.Result) {
+	c.l0 = l0Memo{
+		gen:      c.tlbs.Gen(),
+		base:     va &^ r.Size.Mask(),
+		mask:     r.Size.Mask(),
+		asid:     c.regs.ASID,
+		fetch:    fetch,
+		writable: r.Flags.Writable(),
+		valid:    true,
+	}
+	if m.accessObs != nil {
+		m.accessObs(va, write, r.PA, r.Size)
+	}
 }
 
 // handleFault dispatches a hardware walk fault to its handler.

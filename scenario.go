@@ -14,7 +14,9 @@ import (
 // them on a simulated machine under any technique.
 //
 // Operations are recorded against process IDs; the first CreateProcess'd
-// PID runs first and Switch changes the scheduled process.
+// PID runs first and Switch changes the scheduled process. Virtual
+// addresses must lie below 2^48, the translated address space; Run fails
+// on an op that names an address at or above it.
 type Scenario struct {
 	ops []workload.Op
 }
