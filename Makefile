@@ -60,12 +60,12 @@ bench:
 # bench-micro runs the per-layer hot-path microbenchmarks (entry reads,
 # hardware walks, TLB, PWC and nested TLB probes, the shared
 # set-associative array, guest-table lookups and shadow fills, end-to-end
-# accesses, stream generation and replay) over the same package list as
-# CI's benchstat step.
+# accesses, stream generation and replay, report-cache keys and memo hits)
+# over the same package list as CI's benchstat step.
 bench-micro:
 	$(GO) test -bench . -benchmem -run '^$$' -count 5 \
 		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc ./internal/vmm \
-		./internal/cpu ./internal/workload
+		./internal/cpu ./internal/workload ./internal/repcache ./internal/memo
 
 # bench-compare diffs the current tree's microbenchmarks against the
 # baseline recorded in BENCH_PR9.json (BENCH_PR7.json, BENCH_PR6.json,

@@ -450,18 +450,18 @@ func RunAllWith(ctx context.Context, opts RunAllOptions, cfgs []Config) (results
 		// The cell key covers every result-determining input — two configs
 		// differing only in Accesses or Seed (which the readable prefix
 		// cannot show) get distinct keys, and two spellings of the same cell
-		// (say Seed 0 versus the default 42) share one. The same key is the
-		// DedupKey, so duplicate configs in one list simulate once.
-		dedup, cacheable := experiments.CellKey(cfg.Workload, o)
+		// (say Seed 0 versus the default 42) share one. Duplicate configs in
+		// one list run as separate jobs and simulate once through the report
+		// memo.
+		cell, cacheable := experiments.CellKey(cfg.Workload, o)
 		key := fmt.Sprintf("%s/%s/%s", cfg.Workload, cfg.PageSize, cfg.Technique)
 		if cacheable {
-			key = fmt.Sprintf("%s#%.8s", key, dedup)
+			key = fmt.Sprintf("%s#%.8s", key, cell)
 		}
 		jobs[i] = sweep.Job[Config]{
 			Key:      key,
 			Workload: cfg.Workload,
 			Options:  cfg,
-			DedupKey: dedup,
 		}
 	}
 	out := sweep.Execute(ctx, opts.sweepConfig(), jobs,

@@ -452,8 +452,10 @@ func TestResultJSONEncodesNames(t *testing.T) {
 }
 
 // TestRunAllDeduplicatesIdenticalConfigs verifies a config list with
-// repeated cells runs each unique cell once: duplicates come back
-// bit-identical, and the cache records exactly one simulation per cell.
+// repeated cells simulates each unique cell once: every duplicate job
+// attaches to the first one's memo singleflight or hits its stored report,
+// so duplicates come back bit-identical and the cache records exactly one
+// simulation per cell.
 func TestRunAllDeduplicatesIdenticalConfigs(t *testing.T) {
 	repcache.Reset()
 	cfgs := []Config{
@@ -473,9 +475,12 @@ func TestRunAllDeduplicatesIdenticalConfigs(t *testing.T) {
 	if got[3] == got[0] {
 		t.Error("configs differing only in Seed were aliased")
 	}
-	_, misses, _ := repcache.Stats()
+	hits, misses, deduped := repcache.Stats()
 	if misses != 3 {
 		t.Errorf("simulated %d unique cells, want 3", misses)
+	}
+	if hits+deduped != 2 {
+		t.Errorf("memo served %d hits + %d deduped, want 2 for the two duplicates", hits, deduped)
 	}
 	// Spelled defaults share cells with explicit defaults: Seed 0 means 42.
 	repcache.Reset()

@@ -52,7 +52,7 @@ var streamCold = flag.Bool("stream-cold", false,
 // page-table update cost.
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableI()
+		rows, err := experiments.TableISweep(context.Background(), sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkTableI(b *testing.B) {
 // at each degree of nesting (4, 8, 12, 16, 20, 24).
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableII()
+		rows, err := experiments.TableIISweep(context.Background(), sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ var figure5Cache struct {
 func figure5(b *testing.B) *experiments.Figure5Result {
 	b.Helper()
 	figure5Cache.once.Do(func() {
-		figure5Cache.res, figure5Cache.err = experiments.Figure5(nil, benchAccesses, benchSeed)
+		figure5Cache.res, figure5Cache.err = experiments.Figure5Sweep(context.Background(), sweep.Config{}, nil, benchAccesses, benchSeed)
 	})
 	if figure5Cache.err != nil {
 		b.Fatal(figure5Cache.err)
@@ -192,7 +192,7 @@ func BenchmarkTableVI(b *testing.B) {
 	var rows []experiments.TableVIRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.TableVI(nil, benchAccesses, benchSeed)
+		rows, err = experiments.TableVISweep(context.Background(), sweep.Config{}, nil, benchAccesses, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func BenchmarkAblations(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
-		rows, err = experiments.Ablations(40_000, benchSeed)
+		rows, err = experiments.AblationsSweep(context.Background(), sweep.Config{}, 40_000, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkModelValidation(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
-		v, err = experiments.ValidateModel("canneal", 60_000, benchSeed)
+		v, err = experiments.ValidateModelSweep(context.Background(), sweep.Config{}, "canneal", 60_000, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func BenchmarkSHSP(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		repcache.Reset()
-		rows, err = experiments.SHSPComparison([]string{"dedup", "mcf"}, 60_000, benchSeed)
+		rows, err = experiments.SHSPComparisonSweep(context.Background(), sweep.Config{}, []string{"dedup", "mcf"}, 60_000, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,8 +369,9 @@ func BenchmarkSHSP(b *testing.B) {
 
 // runAllBenchConfigs builds a RunAll config list with 2x overlap: every
 // unique (workload, technique) cell appears twice, the shape of a config
-// list assembled from several experiment fragments. Sweep-level dedup folds
-// the duplicates, so a cold run pays one simulation per unique cell.
+// list assembled from several experiment fragments. Every duplicate job
+// reaches the report memo, which runs one simulation per unique cell and
+// serves the copies from its singleflight or its stored reports.
 func runAllBenchConfigs() []Config {
 	var unique []Config
 	for _, wl := range []string{"dedup", "mcf"} {
@@ -387,10 +388,12 @@ func runAllBenchConfigs() []Config {
 // BenchmarkRunAllDeduped times RunAll over a config list where every cell
 // appears twice (see runAllBenchConfigs).
 //
-//   - cold drops the report cache each iteration, so it measures dedup-only
-//     scheduling: 8 simulations for 16 configs.
-//   - warm keeps the cache primed, so every ask is a stored-report lookup —
-//     the steady state of repeated evaluation runs in one process.
+//   - cold drops the report cache each iteration: 8 simulations for 16
+//     configs, the duplicates attaching to the first copy's memo
+//     singleflight or hitting its stored report.
+//   - warm keeps the cache primed, so all 16 asks are stored-report
+//     lookups — the steady state of repeated evaluation runs in one
+//     process.
 func BenchmarkRunAllDeduped(b *testing.B) {
 	cfgs := runAllBenchConfigs()
 	run := func(b *testing.B) {

@@ -387,10 +387,6 @@ func (m *Machine) Stats() Stats { return m.stats }
 // Managers returns the agile managers by ASID (empty unless agile).
 func (m *Machine) Managers() map[uint16]*core.Manager { return m.managers }
 
-// SHSPControllers returns the SHSP controllers by ASID (empty unless the
-// SHSP baseline is enabled).
-func (m *Machine) SHSPControllers() map[uint16]*core.SHSP { return m.shsp }
-
 // SetMissObserver installs a callback invoked on every completed TLB-miss
 // walk — the analog of the paper's BadgerTrap instrumentation (§VI step 2).
 // write is the access's store bit; retry reports that the same logical
@@ -673,11 +669,6 @@ var errNoProcess = errors.New("cpu: no process scheduled")
 
 // Access performs one load or store on core 0 (uniprocessor convenience).
 func (m *Machine) Access(va uint64, write bool) error { return m.accessOn(0, va, write, false) }
-
-// AccessOn performs one load or store at va on the given core.
-func (m *Machine) AccessOn(coreIdx int, va uint64, write bool) error {
-	return m.accessOn(coreIdx, va, write, false)
-}
 
 // Fetch performs one instruction fetch at va on the given core, translated
 // by the instruction-side TLBs.

@@ -347,7 +347,7 @@ func TestSHSPBaselineMachine(t *testing.T) {
 		ops = append(ops, workload.Op{Kind: workload.OpAccess, PID: 0, VA: base + i<<12})
 	}
 	mustRun(t, m, ops)
-	ctls := m.SHSPControllers()
+	ctls := m.shsp
 	if len(ctls) != 1 {
 		t.Fatalf("SHSP controllers = %d", len(ctls))
 	}

@@ -40,35 +40,23 @@ type ablationSpec struct {
 	notes string
 }
 
-// Ablations quantifies the paper's individual design choices:
+// AblationsSweep quantifies the paper's individual design choices:
 //
 //   - the §IV hardware A/D optimization (trap-free dirty tracking)
 //   - the §IV context-switch pointer cache
 //   - the two nested⇒shadow revert policies of §III-C against no revert
 //   - the MMU caches (PWC + nested TLB) the walk costs assume
-func Ablations(accesses int, seed int64) ([]AblationRow, error) {
-	return AblationsSweep(context.Background(), sweep.Config{}, accesses, seed)
-}
-
-// AblationsSweep is Ablations on an explicit sweep configuration. Rows come
-// back in declaration order regardless of worker count.
+//
+// Rows come back in declaration order regardless of worker count.
 func AblationsSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64) ([]AblationRow, error) {
 	var jobs []sweep.Job[ablationSpec]
 	add := func(name, wl string, kind ablationKind, o Options, notes string) {
 		o.Accesses = accesses
 		o.Seed = seed
-		// Only profile-based ablations are canonical cells; the µbench
-		// kinds build their own op streams outside the stream cache and
-		// are keyed by nothing.
-		var dedup string
-		if kind == ablationProfile {
-			dedup, _ = CellKey(wl, o)
-		}
 		jobs = append(jobs, sweep.Job[ablationSpec]{
 			Key:      name,
 			Workload: wl,
 			Options:  ablationSpec{kind: kind, opts: o, notes: notes},
-			DedupKey: dedup,
 		})
 	}
 

@@ -1,15 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/sweep"
 	"agilepaging/internal/walker"
 )
 
 func TestTableIIExactRefCounts(t *testing.T) {
-	rows, err := TableII()
+	rows, err := TableIISweep(context.Background(), sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestWalkTracesMatchFigure1(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
-	rows, err := TableI()
+	rows, err := TableISweep(context.Background(), sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestTableIShape(t *testing.T) {
 const testAccesses = 60_000
 
 func TestFigure5ShapeSingleWorkload(t *testing.T) {
-	res, err := Figure5([]string{"dedup"}, testAccesses, 1)
+	res, err := Figure5Sweep(context.Background(), sweep.Config{}, []string{"dedup"}, testAccesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestFigure5ShapeSingleWorkload(t *testing.T) {
 }
 
 func TestFigure5StaticWorkloadShape(t *testing.T) {
-	res, err := Figure5([]string{"mcf"}, testAccesses, 1)
+	res, err := Figure5Sweep(context.Background(), sweep.Config{}, []string{"mcf"}, testAccesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestFigure5StaticWorkloadShape(t *testing.T) {
 }
 
 func TestTableVIShape(t *testing.T) {
-	rows, err := TableVI([]string{"mcf", "dedup"}, testAccesses, 1)
+	rows, err := TableVISweep(context.Background(), sweep.Config{}, []string{"mcf", "dedup"}, testAccesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestTableVIShape(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	rows, err := Ablations(testAccesses, 1)
+	rows, err := AblationsSweep(context.Background(), sweep.Config{}, testAccesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestValidateModelAgreement(t *testing.T) {
-	v, err := ValidateModel("canneal", testAccesses, 1)
+	v, err := ValidateModelSweep(context.Background(), sweep.Config{}, "canneal", testAccesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestRunProfileUnknownWorkload(t *testing.T) {
 }
 
 func TestSHSPApproximatesBestAgileExceeds(t *testing.T) {
-	rows, err := SHSPComparison([]string{"mcf", "dedup"}, 120_000, 1)
+	rows, err := SHSPComparisonSweep(context.Background(), sweep.Config{}, []string{"mcf", "dedup"}, 120_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestFormatFigure5Chart(t *testing.T) {
 }
 
 func TestTableVWorkloadsQualify(t *testing.T) {
-	rows, err := TableV(testAccesses, 1)
+	rows, err := TableVSweep(context.Background(), sweep.Config{}, testAccesses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +399,7 @@ func TestNestedToNativeRatioBand(t *testing.T) {
 }
 
 func TestSensitivityAgileRobust(t *testing.T) {
-	rows, err := Sensitivity(60_000, 1)
+	rows, err := SensitivitySweep(context.Background(), sweep.Config{}, 60_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,10 @@ func faultCells(accesses int, seed int64) []sweep.Job[Options] {
 			o := DefaultOptions(tech, ps)
 			o.Accesses = accesses
 			o.Seed = seed
-			dedup, _ := CellKey("dedup", o)
 			jobs = append(jobs, sweep.Job[Options]{
 				Key:      fmt.Sprintf("dedup/%s/%s", ps, tech),
 				Workload: "dedup",
 				Options:  o,
-				DedupKey: dedup,
 			})
 		}
 	}

@@ -50,17 +50,10 @@ func (f *Figure5Result) Get(w string, ps pagetable.Size, tech walker.Mode) (Figu
 	return Figure5Row{}, false
 }
 
-// Figure5 runs the full evaluation sweep of paper Figure 5: every workload
-// of Table V under the eight configurations {4K,2M} × {base native, nested,
-// shadow, agile}. workloads == nil runs all eight. The sweep runs on the
-// default worker pool; use Figure5Sweep for cancellation, a worker bound,
-// or progress reporting.
-func Figure5(workloads []string, accesses int, seed int64) (*Figure5Result, error) {
-	return Figure5Sweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
-}
-
-// Figure5Sweep is Figure5 on an explicit sweep configuration. Results are
-// in declaration order (workload-major, then page size, then technique),
+// Figure5Sweep runs the full evaluation sweep of paper Figure 5: every
+// workload of Table V under the eight configurations {4K,2M} × {base
+// native, nested, shadow, agile}. workloads == nil runs all eight. Results
+// are in declaration order (workload-major, then page size, then technique),
 // identical to a serial run for any worker count. On error the result is
 // still non-nil and carries whatever cells completed (plus their failure
 // attributions) — under cfg.ErrorPolicy == sweep.CollectAll that is every
@@ -76,12 +69,10 @@ func Figure5Sweep(ctx context.Context, cfg sweep.Config, workloads []string, acc
 				o := DefaultOptions(tech, ps)
 				o.Accesses = accesses
 				o.Seed = seed
-				dedup, _ := CellKey(name, o)
 				jobs = append(jobs, sweep.Job[Options]{
 					Key:      fmt.Sprintf("%s/%s/%s", name, ps, tech),
 					Workload: name,
 					Options:  o,
-					DedupKey: dedup,
 				})
 			}
 		}
@@ -193,23 +184,20 @@ type ModelValidation struct {
 	ProjectedVMMOv  float64
 }
 
-// ValidateModel runs the paper's methodology end to end for one workload at
-// 4K: measure native/nested/shadow, collect the agile run's miss and trap
-// logs (the BadgerTrap and trace-cmd analogs), project agile performance
-// with the Table IV model, and report it against direct simulation. The
-// four constituent measurements are independent and run as one sweep.
-func ValidateModel(name string, accesses int, seed int64) (ModelValidation, error) {
-	return ValidateModelSweep(context.Background(), sweep.Config{}, name, accesses, seed)
-}
-
-// validateRun is one ValidateModel measurement plus the logs it collected.
+// validateRun is one ValidateModelSweep measurement plus the logs it
+// collected.
 type validateRun struct {
 	rep   cpu.Report
 	miss  trace.MissLog
 	traps trace.TrapLog
 }
 
-// ValidateModelSweep is ValidateModel on an explicit sweep configuration.
+// ValidateModelSweep runs the paper's methodology end to end for one
+// workload at 4K: measure native/nested/shadow, collect the agile run's
+// miss and trap logs (the BadgerTrap and trace-cmd analogs), project agile
+// performance with the Table IV model, and report it against direct
+// simulation. The four constituent measurements are independent and run
+// as one sweep.
 func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, accesses int, seed int64) (ModelValidation, error) {
 	type spec struct {
 		opts        Options
@@ -221,15 +209,12 @@ func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, acce
 		o.Seed = seed
 		return o
 	}
-	// The native and nested measurements are plain cells and carry their
-	// content key for sweep dedup and report caching; the shadow and agile
-	// jobs attach logs at run time, which makes them instrumented — they
-	// must simulate for real, so they declare no DedupKey.
-	dedup := func(o Options) string { k, _ := CellKey(name, o); return k }
-	nativeOpts, nestedOpts := mk(walker.ModeNative), mk(walker.ModeNested)
+	// The native and nested measurements are plain cells served by the
+	// report cache; the shadow and agile jobs attach logs at run time,
+	// which makes them instrumented — they always simulate for real.
 	jobs := []sweep.Job[spec]{
-		{Key: name + "/native", Workload: name, Options: spec{opts: nativeOpts}, DedupKey: dedup(nativeOpts)},
-		{Key: name + "/nested", Workload: name, Options: spec{opts: nestedOpts}, DedupKey: dedup(nestedOpts)},
+		{Key: name + "/native", Workload: name, Options: spec{opts: mk(walker.ModeNative)}},
+		{Key: name + "/nested", Workload: name, Options: spec{opts: mk(walker.ModeNested)}},
 		{Key: name + "/shadow", Workload: name, Options: spec{opts: mk(walker.ModeShadow), traps: true}},
 		{Key: name + "/agile", Workload: name, Options: spec{opts: mk(walker.ModeAgile), miss: true, traps: true}},
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"agilepaging/internal/sweep"
 	"agilepaging/internal/walker"
 )
 
@@ -91,7 +93,7 @@ func captureGolden(t *testing.T) goldenData {
 	t.Helper()
 	g := goldenData{Accesses: goldenAccesses, Seed: goldenSeed}
 
-	f5, err := Figure5(nil, goldenAccesses, goldenSeed)
+	f5, err := Figure5Sweep(context.Background(), sweep.Config{}, nil, goldenAccesses, goldenSeed)
 	if err != nil {
 		t.Fatalf("Figure5: %v", err)
 	}
@@ -133,7 +135,7 @@ func captureGolden(t *testing.T) goldenData {
 		math.Float64bits(h.GeoAgileVsNative2M),
 	}
 
-	t2, err := TableII()
+	t2, err := TableIISweep(context.Background(), sweep.Config{})
 	if err != nil {
 		t.Fatalf("TableII: %v", err)
 	}
@@ -146,7 +148,7 @@ func captureGolden(t *testing.T) goldenData {
 		})
 	}
 
-	t6, err := TableVI(nil, goldenAccesses, goldenSeed)
+	t6, err := TableVISweep(context.Background(), sweep.Config{}, nil, goldenAccesses, goldenSeed)
 	if err != nil {
 		t.Fatalf("TableVI: %v", err)
 	}

@@ -143,11 +143,10 @@ func TestInstrumentedRunsBypassCache(t *testing.T) {
 	}
 }
 
-// TestSweepDedupSharesCells verifies Figure5Sweep's DedupKeys fold repeat
-// cells: the same sweep run twice back-to-back after a reset costs one
-// simulation per unique cell in total (second run all hits), and a single
-// sweep's job count equals its unique cell count (native is per-page-size
-// distinct, so all 8 cells of one workload are unique here).
+// TestSweepDedupSharesCells verifies the report memo gives one simulation
+// per unique cell: the same sweep run twice back-to-back after a reset
+// simulates each of its 8 cells once (native is per-page-size distinct, so
+// all 8 cells of one workload are unique), and the second run is all hits.
 func TestSweepDedupSharesCells(t *testing.T) {
 	repcache.Reset()
 	if _, err := Figure5Sweep(context.Background(), sweep.Config{}, []string{"dedup"}, 1500, 42); err != nil {

@@ -141,8 +141,7 @@ func cellKey(prof workload.Profile, cfg cpu.Config, o Options) string {
 // (workload, o) — the key RunProfile memoizes its report under — and
 // whether the cell is memoizable at all. Instrumented cells (attached
 // logs, telemetry) and unknown workloads report false: they never enter
-// the cache, so they must not be deduplicated against anything either.
-// Sweep drivers use this as the sweep.Job DedupKey.
+// the cache. The facade uses it as its sweep job-key suffix.
 func CellKey(name string, o Options) (string, bool) {
 	if instrumented(o) {
 		return "", false

@@ -49,16 +49,11 @@ var shspConfigs = [...]shspSpec{
 	{walker.ModeAgile, false},
 }
 
-// SHSPComparison reproduces the paper's §VII.C discussion: SHSP, switching
-// an entire guest process temporally between the techniques, approaches the
-// best of the two, while agile paging — temporal *and* spatial — exceeds
-// it. Runs at 4K pages where the techniques differ most.
-func SHSPComparison(workloads []string, accesses int, seed int64) ([]SHSPRow, error) {
-	return SHSPComparisonSweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
-}
-
-// SHSPComparisonSweep is SHSPComparison on an explicit sweep configuration:
-// every (workload, configuration) cell is an independent job.
+// SHSPComparisonSweep reproduces the paper's §VII.C discussion: SHSP,
+// switching an entire guest process temporally between the techniques,
+// approaches the best of the two, while agile paging — temporal *and*
+// spatial — exceeds it. Runs at 4K pages where the techniques differ most;
+// every (workload, configuration) cell is an independent sweep job.
 func SHSPComparisonSweep(ctx context.Context, cfg sweep.Config, workloads []string, accesses int, seed int64) ([]SHSPRow, error) {
 	if workloads == nil {
 		workloads = workload.Names()
@@ -78,12 +73,10 @@ func SHSPComparisonSweep(ctx context.Context, cfg sweep.Config, workloads []stri
 			// give every configuration a full-length warmup so the steady
 			// states are compared, as the paper's to-completion runs do.
 			o.Warmup = accesses
-			dedup, _ := CellKey(name, o)
 			jobs = append(jobs, sweep.Job[Options]{
 				Key:      fmt.Sprintf("%s/%s", name, label),
 				Workload: name,
 				Options:  o,
-				DedupKey: dedup,
 			})
 		}
 	}

@@ -27,15 +27,10 @@ type TableIRow struct {
 	Hardware string
 }
 
-// TableI reproduces paper Table I: the qualitative trade-off between the
-// techniques, with the quantitative cells measured on microbenchmarks.
-func TableI() ([]TableIRow, error) {
-	return TableISweep(context.Background(), sweep.Config{})
-}
-
-// TableISweep is TableI on an explicit sweep configuration: one job per
-// technique, each running both microbenchmarks. On error the returned rows
-// hold whatever techniques completed.
+// TableISweep reproduces paper Table I: the qualitative trade-off between
+// the techniques, with the quantitative cells measured on microbenchmarks.
+// It runs one sweep job per technique, each running both microbenchmarks.
+// On error the returned rows hold whatever techniques completed.
 func TableISweep(ctx context.Context, cfg sweep.Config) ([]TableIRow, error) {
 	jobs := make([]sweep.Job[walker.Mode], 0, 4)
 	for _, tech := range Techniques() {

@@ -95,16 +95,11 @@ type degreeSpec struct {
 	fullNested bool
 }
 
-// TableII reproduces paper Table II (and the access sequences of Figure 3):
-// the number of memory references with each degree of nesting, from full
-// shadow (4) through the four switch levels (8, 12, 16, 20) to full nested
-// (24).
-func TableII() ([]TableIIRow, error) {
-	return TableIISweep(context.Background(), sweep.Config{})
-}
-
-// TableIISweep is TableII on an explicit sweep configuration: one job per
-// degree of nesting, each building its own VM fixture.
+// TableIISweep reproduces paper Table II (and the access sequences of
+// Figure 3): the number of memory references with each degree of nesting,
+// from full shadow (4) through the four switch levels (8, 12, 16, 20) to
+// full nested (24). It runs one sweep job per degree of nesting, each
+// building its own VM fixture.
 func TableIISweep(ctx context.Context, cfg sweep.Config) ([]TableIIRow, error) {
 	degrees := []struct {
 		name string

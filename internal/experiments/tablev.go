@@ -24,14 +24,9 @@ type TableVRow struct {
 	PTUpdateEvents uint64 // guest page-table update events (maps + unmaps)
 }
 
-// TableV measures the workload-characterization table.
-func TableV(accesses int, seed int64) ([]TableVRow, error) {
-	return TableVSweep(context.Background(), sweep.Config{}, accesses, seed)
-}
-
-// TableVSweep is TableV on an explicit sweep configuration: one
-// base-native job per workload profile. On error the returned rows hold
-// whatever workloads completed (all healthy ones under CollectAll).
+// TableVSweep measures the workload-characterization table: one
+// base-native sweep job per workload profile. On error the returned rows
+// hold whatever workloads completed (all healthy ones under CollectAll).
 func TableVSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64) ([]TableVRow, error) {
 	profiles := workload.Profiles()
 	jobs := make([]sweep.Job[Options], 0, len(profiles))
@@ -39,8 +34,7 @@ func TableVSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64
 		o := DefaultOptions(walker.ModeNative, pagetable.Size4K)
 		o.Accesses = accesses
 		o.Seed = seed
-		dedup, _ := CellKey(prof.Name, o)
-		jobs = append(jobs, sweep.Job[Options]{Key: "table5/" + prof.Name, Workload: prof.Name, Options: o, DedupKey: dedup})
+		jobs = append(jobs, sweep.Job[Options]{Key: "table5/" + prof.Name, Workload: prof.Name, Options: o})
 	}
 	out := sweep.Execute(ctx, cfg, jobs, func(_ context.Context, j sweep.Job[Options]) (TableVRow, error) {
 		prof, _ := workload.ProfileByName(j.Workload)

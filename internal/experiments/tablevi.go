@@ -21,16 +21,11 @@ type TableVIRow struct {
 	AvgRefs   float64
 }
 
-// TableVI reproduces paper Table VI by running every workload under agile
-// paging at 4K with the page walk caches and nested TLB disabled, and
-// classifying every TLB miss (the BadgerTrap step).
-func TableVI(workloads []string, accesses int, seed int64) ([]TableVIRow, error) {
-	return TableVISweep(context.Background(), sweep.Config{}, workloads, accesses, seed)
-}
-
-// TableVISweep is TableVI on an explicit sweep configuration: one job per
-// workload, each with its own private miss log. On error the returned rows
-// hold whatever workloads completed.
+// TableVISweep reproduces paper Table VI by running every workload under
+// agile paging at 4K with the page walk caches and nested TLB disabled, and
+// classifying every TLB miss (the BadgerTrap step). It runs one sweep job
+// per workload, each with its own private miss log. On error the returned
+// rows hold whatever workloads completed.
 func TableVISweep(ctx context.Context, cfg sweep.Config, workloads []string, accesses int, seed int64) ([]TableVIRow, error) {
 	if workloads == nil {
 		workloads = workload.Names()

@@ -99,9 +99,6 @@ type Process struct {
 
 	// clockHand remembers the reclaim scan position.
 	clockHand int
-
-	// nextBase is a simple bump allocator for AllocRegion.
-	nextBase uint64
 }
 
 // OS is the guest operating system.
@@ -145,12 +142,11 @@ func (o *OS) CreateProcess(pid int, asid uint16) (*Process, error) {
 		return nil, err
 	}
 	p := &Process{
-		PID:      pid,
-		ASID:     asid,
-		PT:       pt,
-		regions:  make(map[uint64]*Region),
-		cow:      make(map[uint64]bool),
-		nextBase: 0x0000_1000_0000,
+		PID:     pid,
+		ASID:    asid,
+		PT:      pt,
+		regions: make(map[uint64]*Region),
+		cow:     make(map[uint64]bool),
 	}
 	o.procs[pid] = p
 	if o.current == nil {
@@ -206,18 +202,6 @@ func (o *OS) Mmap(pid int, addr, length uint64, size pagetable.Size, writable bo
 	p.regions[addr] = r
 	p.rebuildIndex()
 	return r, nil
-}
-
-// AllocRegion places a region of the given length at an OS-chosen address.
-func (o *OS) AllocRegion(pid int, length uint64, size pagetable.Size, writable bool) (*Region, error) {
-	p, err := o.Process(pid)
-	if err != nil {
-		return nil, err
-	}
-	base := (p.nextBase + size.Mask()) &^ size.Mask()
-	length = (length + size.Mask()) &^ size.Mask()
-	p.nextBase = base + length + size.Bytes() // guard gap
-	return o.Mmap(pid, base, length, size, writable)
 }
 
 // Munmap removes the region containing addr, unmapping every populated page

@@ -118,26 +118,6 @@ func TestMmapOverlapRejected(t *testing.T) {
 	}
 }
 
-func TestAllocRegionNonOverlapping(t *testing.T) {
-	o, _ := newOS(t)
-	var regions []*Region
-	for i := 0; i < 10; i++ {
-		r, err := o.AllocRegion(1, 1<<21, pagetable.Size4K, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		regions = append(regions, r)
-	}
-	for i := range regions {
-		for j := i + 1; j < len(regions); j++ {
-			a, b := regions[i], regions[j]
-			if a.Base < b.End() && b.Base < a.End() {
-				t.Fatalf("regions %d and %d overlap", i, j)
-			}
-		}
-	}
-}
-
 func TestPopulateAndMunmap(t *testing.T) {
 	o, plat := newOS(t)
 	r, _ := o.Mmap(1, 0x4000_0000, 16<<12, pagetable.Size4K, true)

@@ -138,10 +138,6 @@ func (m *Memory) clearAllocated(f Frame) {
 	m.allocCount--
 }
 
-// TotalFrames reports the number of frames the memory holds, including the
-// reserved nil frame.
-func (m *Memory) TotalFrames() uint64 { return m.totalFrames }
-
 // AllocatedFrames reports the number of currently allocated frames.
 func (m *Memory) AllocatedFrames() int { return m.allocCount }
 

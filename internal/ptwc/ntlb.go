@@ -42,9 +42,6 @@ func (n *NestedTLB) InvalidateGPA(vmid uint16, gpa uint64) {
 	n.arr.Invalidate(vmid, gpa>>12)
 }
 
-// FlushVM drops all entries of one VM.
-func (n *NestedTLB) FlushVM(vmid uint16) { n.arr.Flush(vmid, false, false) }
-
 // FlushAll empties the nested TLB.
 func (n *NestedTLB) FlushAll() { n.arr.Flush(0, true, false) }
 

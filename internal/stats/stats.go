@@ -1,13 +1,10 @@
-// Package stats provides the small statistics containers the simulator's
-// reports build on: fixed-bucket histograms for per-event quantities
-// (memory references per walk, exits per interval) and streaming summary
-// accumulators.
+// Package stats provides the fixed-bucket histogram the simulator's reports
+// build on, for per-event quantities such as memory references per walk.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -146,89 +143,4 @@ func (h *Hist) String() string {
 		parts = append(parts, fmt.Sprintf(">=%d:%d", len(h.buckets), h.overflow))
 	}
 	return "Hist{" + strings.Join(parts, " ") + "}"
-}
-
-// Summary is a streaming accumulator for mean and extrema of float series
-// (Welford's algorithm for variance).
-type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() uint64 { return s.n }
-
-// Mean returns the running mean.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Summary) Max() float64 { return s.max }
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// Geomean computes the geometric mean of xs (which must be positive).
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	acc := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		acc += math.Log(x)
-	}
-	return math.Exp(acc / float64(len(xs)))
-}
-
-// Percentiles computes the given quantiles (0..1) of xs by sorting a copy.
-func Percentiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out[i] = sorted[idx]
-	}
-	return out
 }

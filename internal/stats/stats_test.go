@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -110,77 +109,6 @@ func TestHistMeanProperty(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	if s.StdDev() != 0 || s.Mean() != 0 {
-		t.Error("zero-value summary")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 || s.Mean() != 5 || s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("summary: n=%d mean=%v min=%v max=%v", s.N(), s.Mean(), s.Min(), s.Max())
-	}
-	// Known sample stddev of this classic data set: sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7); math.Abs(s.StdDev()-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", s.StdDev(), want)
-	}
-}
-
-func TestSummaryMatchesDirectComputation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var s Summary
-	var xs []float64
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*10 + 50
-		s.Add(x)
-		xs = append(xs, x)
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if math.Abs(s.Mean()-mean) > 1e-9 {
-		t.Errorf("streaming mean %v vs direct %v", s.Mean(), mean)
-	}
-	varSum := 0.0
-	for _, x := range xs {
-		varSum += (x - mean) * (x - mean)
-	}
-	want := math.Sqrt(varSum / float64(len(xs)-1))
-	if math.Abs(s.StdDev()-want) > 1e-6 {
-		t.Errorf("streaming stddev %v vs direct %v", s.StdDev(), want)
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); math.Abs(g-4) > 1e-9 {
-		t.Errorf("Geomean = %v", g)
-	}
-	if Geomean(nil) != 0 {
-		t.Error("empty geomean")
-	}
-	if Geomean([]float64{1, -1}) != 0 {
-		t.Error("non-positive geomean should be 0")
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	ps := Percentiles(xs, 0, 0.5, 1)
-	if ps[0] != 1 || ps[1] != 3 || ps[2] != 5 {
-		t.Errorf("percentiles = %v", ps)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentiles mutated input")
-	}
-	if got := Percentiles(nil, 0.5); got[0] != 0 {
-		t.Error("empty percentiles")
 	}
 }
 

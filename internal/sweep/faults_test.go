@@ -268,17 +268,18 @@ func TestHangFaultUnstuckByCancel(t *testing.T) {
 	}
 }
 
-// TestCollectAllDedupMask verifies the completion mask through dedup
-// fan-out: aliases of a completed representative count as completed;
-// aliases of a failed one stay incomplete with no error of their own.
+// TestCollectAllDedupMask verifies the completion mask when jobs share a
+// Key: under CollectAll every declared job runs on its own, so both copies
+// of a failing key are incomplete with a *JobError naming their own index,
+// and both copies of a healthy key hold results.
 func TestCollectAllDedupMask(t *testing.T) {
 	jobs := []Job[int]{
-		{Key: "ok-rep", Options: 1, DedupKey: "OK"},
-		{Key: "bad-rep", Options: 2, DedupKey: "BAD"},
-		{Key: "ok-dup", Options: 3, DedupKey: "OK"},
-		{Key: "bad-dup", Options: 4, DedupKey: "BAD"},
+		{Key: "ok", Options: 1},
+		{Key: "bad", Options: 2},
+		{Key: "ok", Options: 3},
+		{Key: "bad", Options: 4},
 	}
-	inj := NewInjector(FaultSpec{Key: "bad-rep", Kind: FaultError})
+	inj := NewInjector(FaultSpec{Key: "bad", Kind: FaultError})
 	out := Execute(context.Background(), Config{Workers: 2, ErrorPolicy: CollectAll},
 		jobs, InjectFaults(inj, okFn))
 	if out.Err == nil {
@@ -290,13 +291,16 @@ func TestCollectAllDedupMask(t *testing.T) {
 			t.Errorf("Completed[%d] = %v, want %v", i, out.Completed[i], want)
 		}
 	}
-	if out.Results[0] != 10 || out.Results[2] != 10 {
-		t.Errorf("dedup fan-out lost results: %v", out.Results)
+	if out.Results[0] != 10 || out.Results[2] != 30 {
+		t.Errorf("healthy duplicates lost results: %v", out.Results)
 	}
-	if out.JobErrors[1] == nil {
-		t.Error("failed representative has no error")
+	for _, i := range []int{1, 3} {
+		var je *JobError
+		if !errors.As(out.JobErrors[i], &je) || je.Index != i {
+			t.Errorf("JobErrors[%d] = %v, want a *JobError with Index %d", i, out.JobErrors[i], i)
+		}
 	}
-	if out.JobErrors[3] != nil {
-		t.Errorf("alias blamed for its representative's failure: %v", out.JobErrors[3])
+	if got := inj.Executions("bad"); got != 2 {
+		t.Errorf("failing key ran %d times, want 2", got)
 	}
 }

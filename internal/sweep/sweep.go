@@ -51,26 +51,15 @@ type Job[O any] struct {
 	Workload string
 	// Options carries the driver-specific run parameters.
 	Options O
-	// DedupKey, when non-empty, is the job's canonical content key: two
-	// jobs with equal DedupKeys are declared to produce identical results,
-	// so Run executes only the first and copies its result to the rest.
-	// "" (the default) opts the job out of deduplication. The experiments
-	// layer sets this to the repcache cell key for uninstrumented
-	// simulation cells and leaves it empty for everything else.
-	DedupKey string
 }
 
 // Progress is a snapshot delivered to Config.OnProgress after each job
 // completes successfully.
 type Progress struct {
-	// Done and Total count successfully completed and executed jobs.
-	// Deduplicated jobs are not executed, so Total is the unique-job
-	// count, not len(jobs). Failed jobs never report progress, so under
-	// CollectAll a sweep with failures finishes with Done < Total.
+	// Done counts successfully completed jobs; Total is len(jobs). Failed
+	// jobs never report progress, so under CollectAll a sweep with
+	// failures finishes with Done < Total.
 	Done, Total int
-	// Deduped is the number of declared jobs folded into another job's
-	// execution by DedupKey (constant across one sweep).
-	Deduped int
 	// Key is the key of the job that just finished.
 	Key string
 	// Elapsed is that job's wall-clock run time.
@@ -168,14 +157,12 @@ type Outcome[R any] struct {
 	// tell a real zero-valued result from an absent one.
 	Results []R
 	// Completed[i] reports whether Results[i] holds a real result: the
-	// job (or the representative it deduplicated into) ran to success.
+	// job ran to success.
 	Completed []bool
 	// JobErrors[i] is job i's failure as a *JobError, nil if the job
-	// completed or never ran. A deduplicated job's failure is recorded on
-	// its representative only; its aliases stay nil with Completed false.
-	// Under FailFast the set is best-effort (jobs canceled by the first
-	// failure record nothing); under CollectAll it is complete and
-	// deterministic.
+	// completed or never ran. Under FailFast the set is best-effort (jobs
+	// canceled by the first failure record nothing); under CollectAll it
+	// is complete and deterministic.
 	JobErrors []error
 	// Err is the sweep verdict; see Run for the policy-specific contract.
 	Err error
@@ -197,12 +184,9 @@ func (o Outcome[R]) CompletedCount() int {
 // (results, error) shape; callers that need the per-job completion mask or
 // error attribution use Execute directly.
 //
-// Deduplication: jobs sharing a non-empty DedupKey execute once — the
-// first declaration-order occurrence is the representative; after the
-// sweep completes its result is copied to every duplicate's slot. The
-// worker pool only ever sees unique jobs, so a sweep whose tail is all
-// duplicates finishes when its unique jobs do (no stragglers), and
-// Progress.Total counts unique jobs.
+// Every declared job runs; the sweep does not fold duplicates. Jobs that
+// compute the same cell share work through the caller's own cache (the
+// experiments layer's report memo), not here.
 //
 // Panics: a panicking job does not crash the process; the panic is
 // recovered into a *PanicError carrying the stack and handled as that
@@ -248,34 +232,12 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 		return out
 	}
 
-	// Dedup pass: order lists the indexes that actually execute, in
-	// declaration order; alias maps every folded index to its
-	// representative. A representative is always the first occurrence of
-	// its DedupKey, so alias targets precede their sources.
-	order := make([]int, 0, len(jobs))
-	var alias map[int]int
-	firstByKey := make(map[string]int, len(jobs))
-	for i, j := range jobs {
-		if j.DedupKey != "" {
-			if rep, ok := firstByKey[j.DedupKey]; ok {
-				if alias == nil {
-					alias = make(map[int]int)
-				}
-				alias[i] = rep
-				continue
-			}
-			firstByKey[j.DedupKey] = i
-		}
-		order = append(order, i)
-	}
-	deduped := len(jobs) - len(order)
-
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
-		next int64 = -1 // atomically claimed cursor into order
+		next int64 = -1 // atomically claimed cursor into jobs
 		wg   sync.WaitGroup
 		mu   sync.Mutex // guards done/firstFailure/progress* and serializes OnProgress
 		done int
@@ -307,7 +269,7 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 	reportProgress := func(key string, elapsed time.Duration) {
 		mu.Lock()
 		done++
-		p := Progress{Done: done, Total: len(order), Deduped: deduped, Key: key, Elapsed: elapsed}
+		p := Progress{Done: done, Total: len(jobs), Key: key, Elapsed: elapsed}
 		if !progressDead {
 			func() {
 				defer func() {
@@ -325,8 +287,8 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 	worker := func() {
 		defer wg.Done()
 		for {
-			o := int(atomic.AddInt64(&next, 1))
-			if o >= len(order) {
+			i := int(atomic.AddInt64(&next, 1))
+			if i >= len(jobs) {
 				return
 			}
 			// A failed (FailFast) or canceled sweep starts no further
@@ -334,7 +296,6 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 			if ctx.Err() != nil {
 				return
 			}
-			i := order[o]
 			start := time.Now()
 			r, err := runJob(jobs[i])
 			if err != nil {
@@ -364,22 +325,12 @@ func Execute[O, R any](ctx context.Context, cfg Config, jobs []Job[O], fn func(c
 			}
 		}
 	}
-	n := cfg.workers(len(order))
+	n := cfg.workers(len(jobs))
 	wg.Add(n)
 	for w := 0; w < n; w++ {
 		go worker()
 	}
 	wg.Wait()
-
-	// Fan deduplicated results back out. Representatives precede their
-	// aliases; a failed representative leaves its aliases zero-valued and
-	// incomplete.
-	for i, rep := range alias {
-		if out.Completed[rep] {
-			out.Results[i] = out.Results[rep]
-			out.Completed[i] = true
-		}
-	}
 
 	out.Err = verdict(cfg.ErrorPolicy, out.JobErrors, firstFailure, progressPanic, parent.Err())
 	return out

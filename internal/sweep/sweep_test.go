@@ -255,104 +255,52 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestDedupExecutesOncePerKey verifies jobs sharing a DedupKey run once,
-// their results fan out to every duplicate slot, and jobs without a
-// DedupKey never deduplicate.
-func TestDedupExecutesOncePerKey(t *testing.T) {
-	jobs := []Job[int]{
-		{Key: "a0", Options: 0, DedupKey: "A"},
-		{Key: "b0", Options: 1, DedupKey: "B"},
-		{Key: "a1", Options: 2, DedupKey: "A"},
-		{Key: "plain0", Options: 3},
-		{Key: "plain1", Options: 4},
-		{Key: "a2", Options: 5, DedupKey: "A"},
-		{Key: "b1", Options: 6, DedupKey: "B"},
-	}
-	for _, workers := range []int{1, 4} {
-		var runs int64
-		ranOptions := make(map[int]bool)
-		var mu sync.Mutex
-		got, err := Run(context.Background(), Config{Workers: workers}, jobs,
-			func(_ context.Context, j Job[int]) (int, error) {
-				atomic.AddInt64(&runs, 1)
-				mu.Lock()
-				ranOptions[j.Options] = true
-				mu.Unlock()
-				return j.Options * 10, nil
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := atomic.LoadInt64(&runs); got != 4 {
-			t.Fatalf("workers=%d: %d executions, want 4 (A, B, plain0, plain1)", workers, got)
-		}
-		// Representatives are the first declaration of each key.
-		for _, opt := range []int{0, 1, 3, 4} {
-			if !ranOptions[opt] {
-				t.Errorf("workers=%d: representative with Options=%d did not run", workers, opt)
-			}
-		}
-		// Duplicates receive the representative's result.
-		want := []int{0, 10, 0, 30, 40, 0, 10}
-		for i, r := range got {
-			if r != want[i] {
-				t.Errorf("workers=%d: results[%d] = %d, want %d", workers, i, r, want[i])
-			}
-		}
-	}
-}
-
-// TestDedupProgressTotals verifies Total reflects unique jobs and Deduped
-// the folded count.
+// TestDedupProgressTotals verifies jobs sharing a Key are not folded in
+// progress: Total is len(jobs), and every declared job reports once.
 func TestDedupProgressTotals(t *testing.T) {
-	jobs := []Job[int]{
-		{Key: "x0", DedupKey: "X"},
-		{Key: "x1", DedupKey: "X"},
-		{Key: "x2", DedupKey: "X"},
-		{Key: "y", DedupKey: "Y"},
-	}
+	jobs := []Job[int]{{Key: "x"}, {Key: "x"}, {Key: "x"}, {Key: "y"}}
 	var calls int
 	_, err := Run(context.Background(), Config{
 		Workers: 2,
 		OnProgress: func(p Progress) {
 			calls++
-			if p.Total != 2 {
-				t.Errorf("Total = %d, want 2 unique jobs", p.Total)
-			}
-			if p.Deduped != 2 {
-				t.Errorf("Deduped = %d, want 2", p.Deduped)
+			if p.Total != len(jobs) {
+				t.Errorf("Total = %d, want %d", p.Total, len(jobs))
 			}
 		},
 	}, jobs, func(_ context.Context, j Job[int]) (int, error) { return 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Fatalf("OnProgress called %d times, want 2", calls)
+	if calls != len(jobs) {
+		t.Fatalf("OnProgress called %d times, want %d", calls, len(jobs))
 	}
 }
 
-// TestDedupErrorAttribution verifies a failing representative is reported
-// under its own key and duplicates stay zero.
+// TestDedupErrorAttribution verifies that under FailFast the first of two
+// failing jobs sharing a Key is the one blamed, by its own index, and the
+// later duplicate never starts.
 func TestDedupErrorAttribution(t *testing.T) {
 	boom := errors.New("boom")
-	jobs := []Job[int]{
-		{Key: "ok", DedupKey: "OK"},
-		{Key: "bad-rep", DedupKey: "BAD"},
-		{Key: "bad-dup", DedupKey: "BAD"},
-	}
+	jobs := []Job[int]{{Key: "ok"}, {Key: "bad"}, {Key: "bad"}}
+	var runs int64
 	results, err := Run(context.Background(), Config{Workers: 1}, jobs,
 		func(_ context.Context, j Job[int]) (int, error) {
-			if j.DedupKey == "BAD" {
+			atomic.AddInt64(&runs, 1)
+			if j.Key == "bad" {
 				return 0, boom
 			}
 			return 7, nil
 		})
-	if !errors.Is(err, boom) {
+	var je *JobError
+	if !errors.As(err, &je) || !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if !strings.Contains(err.Error(), "bad-rep") {
-		t.Fatalf("error blames wrong job: %v", err)
+	if je.Index != 1 {
+		t.Fatalf("error blames job %d, want 1: %v", je.Index, err)
+	}
+	if runs != 2 {
+		t.Fatalf("%d executions, want 2 (the duplicate must not start)", runs)
 	}
 	if results[0] != 7 || results[1] != 0 || results[2] != 0 {
 		t.Fatalf("results = %v", results)

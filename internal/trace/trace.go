@@ -26,7 +26,6 @@ import (
 const (
 	opMagic   = uint32(0x41504f31) // "APO1"
 	missMagic = uint32(0x41504d31) // "APM1"
-	trapMagic = uint32(0x41505431) // "APT1"
 )
 
 // ErrBadFormat reports a corrupt or foreign trace file.

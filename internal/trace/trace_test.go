@@ -139,34 +139,7 @@ func TestTrapLogAvoidedCycles(t *testing.T) {
 	if got := AvoidedCycles(shadow, agile, costs); got != want {
 		t.Errorf("AvoidedCycles = %d, want %d", got, want)
 	}
-	f := FractionAvoided(shadow, agile)
-	if math.Abs(f[vmm.TrapPTWrite]-0.8) > 1e-9 {
-		t.Errorf("F_V(pt-write) = %v", f[vmm.TrapPTWrite])
-	}
-	if f[vmm.TrapShadowFill] != 0 {
-		t.Error("excess agile traps must not produce negative fractions")
-	}
 	if shadow.Total() != 11 {
 		t.Errorf("Total = %d", shadow.Total())
-	}
-}
-
-func TestTrapLogRoundTrip(t *testing.T) {
-	l := &TrapLog{}
-	l.Counts[vmm.TrapShadowFill] = 42
-	l.Counts[vmm.TrapContextSwitch] = 7
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrapLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *l {
-		t.Errorf("round trip: %+v != %+v", got, l)
-	}
-	if _, err := LoadTrapLog(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0})); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("bad magic err = %v", err)
 	}
 }

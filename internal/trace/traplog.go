@@ -1,13 +1,6 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"agilepaging/internal/vmm"
-)
+import "agilepaging/internal/vmm"
 
 // TrapLog counts VM exits by kind — the step-1 artifact from which the
 // paper derives the fraction of VMM interventions agile paging eliminates
@@ -41,59 +34,4 @@ func AvoidedCycles(shadow, agile *TrapLog, costs vmm.CostModel) uint64 {
 		}
 	}
 	return cycles
-}
-
-// FractionAvoided reports the per-kind F_Vi: the fraction of shadow-run
-// traps of each kind that the agile run does not take.
-func FractionAvoided(shadow, agile *TrapLog) [vmm.NumTrapKinds]float64 {
-	var f [vmm.NumTrapKinds]float64
-	for k := range shadow.Counts {
-		if shadow.Counts[k] == 0 {
-			continue
-		}
-		if agile.Counts[k] >= shadow.Counts[k] {
-			continue
-		}
-		f[k] = float64(shadow.Counts[k]-agile.Counts[k]) / float64(shadow.Counts[k])
-	}
-	return f
-}
-
-// Save serializes the log.
-func (l *TrapLog) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, trapMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(vmm.NumTrapKinds)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, l.Counts); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// LoadTrapLog deserializes a log written by Save.
-func LoadTrapLog(r io.Reader) (*TrapLog, error) {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != trapMagic {
-		return nil, fmt.Errorf("%w: magic %#x", ErrBadFormat, magic)
-	}
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n != uint32(vmm.NumTrapKinds) {
-		return nil, fmt.Errorf("%w: trap kind count %d", ErrBadFormat, n)
-	}
-	l := &TrapLog{}
-	if err := binary.Read(br, binary.LittleEndian, &l.Counts); err != nil {
-		return nil, err
-	}
-	return l, nil
 }

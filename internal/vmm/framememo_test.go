@@ -23,6 +23,28 @@ func uncachedFrameFor(vm *VM, gpa uint64) (memsim.Frame, bool) {
 	return f, true
 }
 
+// soleOwner returns the first page of gpas whose host frame is a data frame
+// that no other page of gpas maps, gpa included: a partner whose frame page
+// sharing can reclaim.
+func soleOwner(vm *VM, gpas []uint64, gpa uint64) (uint64, bool) {
+	owners := make(map[uint64]map[uint64]bool)
+	for _, g := range gpas {
+		h, _, _ := vm.translateGPA(g)
+		if owners[h] == nil {
+			owners[h] = make(map[uint64]bool)
+		}
+		owners[h][g] = true
+	}
+	ha, _, _ := vm.translateGPA(gpa)
+	for _, g := range gpas {
+		h, _, _ := vm.translateGPA(g)
+		if h != ha && len(owners[h]) == 1 && !vm.mem.IsTable(memsim.FrameOf(h)) {
+			return g, true
+		}
+	}
+	return 0, false
+}
+
 func checkFrameFor(t *testing.T, vm *VM, step string, gpas []uint64) {
 	t.Helper()
 	gs := guestPhysSpace{vm}
@@ -105,10 +127,17 @@ func TestFrameMemoMatchesUncached(t *testing.T) {
 					continue
 				}
 				gpa := pick()
-				gs.FrameFor(gpa)
-				if err := vm.WriteProtectHostPage(gpa); err != nil {
-					t.Fatal(err)
+				partner, ok := soleOwner(vm, all, gpa)
+				if !ok {
+					continue
 				}
+				// Sharing gpa's frame with the partner write-protects
+				// gpa; the write fault then breaks the sharing. Sharing
+				// keeps no reference counts, so an earlier dedup step may
+				// already have reclaimed the partner's frame: a failed
+				// reclaim is tolerated as in that step.
+				gs.FrameFor(gpa)
+				_ = vm.DedupPages(gpa, partner)
 				if err := vm.HandleHostFault(gpa, true); err != nil {
 					t.Fatal(err)
 				}
@@ -133,12 +162,17 @@ func TestFrameMemoMatchesUncached(t *testing.T) {
 // TestFrameMemoAfterRemap: a host remap moves a guest page the memo has
 // just resolved. FrameFor must then answer as an uncached walk does: after
 // a host copy-on-write of a guest table page (whose copy is no longer a
-// table frame) or of a data page the guest later recycles as a table page,
-// and after cross-VM sharing points a data page at another VM's table frame.
+// table frame) or of a data page the guest later recycles as a table page.
 func TestFrameMemoAfterRemap(t *testing.T) {
+	// cow shares gpa's frame with a fresh data page, which write-protects
+	// gpa's host mapping, then breaks the sharing with a guest write.
 	cow := func(t *testing.T, vm *VM, gpa uint64) {
 		t.Helper()
-		if err := vm.WriteProtectHostPage(gpa); err != nil {
+		partner, err := vm.AllocGPA(pagetable.Size4K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.DedupPages(gpa, partner); err != nil {
 			t.Fatal(err)
 		}
 		if err := vm.HandleHostFault(gpa, true); err != nil {
@@ -177,31 +211,5 @@ func TestFrameMemoAfterRemap(t *testing.T) {
 		if _, ok := gs.FrameFor(gpa); !ok {
 			t.Error("recycled table page not resolved")
 		}
-	})
-	t.Run("cross-VM sharing", func(t *testing.T) {
-		mem := memsim.New(512 << 20)
-		mk := func(id uint16) *VM {
-			cfg := DefaultConfig(walker.ModeShadow)
-			cfg.RAMBytes = 16 << 20
-			vm, err := New(mem, NopMMU{}, id, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return vm
-		}
-		vmA, vmB := mk(1), mk(2)
-		gpaA, err := guestPhysSpace{vmA}.AllocTablePage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gpaB, err := vmB.AllocGPA(pagetable.Size4K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		guestPhysSpace{vmB}.FrameFor(gpaB)
-		if err := DedupAcrossVMs(vmA, gpaA, vmB, gpaB); err != nil {
-			t.Fatal(err)
-		}
-		checkFrameFor(t, vmB, "after sharing", []uint64{gpaB})
 	})
 }

@@ -323,20 +323,6 @@ func (vm *VM) HandleHostFault(gpa uint64, write bool) error {
 	return nil
 }
 
-// WriteProtectHostPage makes the host mapping of gpa read-only, as the
-// VMM's content-based page sharing does (paper §V). Affected shadow entries
-// and cached translations are invalidated.
-func (vm *VM) WriteProtectHostPage(gpa uint64) error {
-	if err := vm.hpt.ClearFlags(gpa, pagetable.FlagWrite); err != nil {
-		return err
-	}
-	vm.mmu.NTLBInvalidateGPA(vm.id, gpa)
-	for _, ctx := range vm.ctxs {
-		ctx.hostPageChanged(gpa)
-	}
-	return nil
-}
-
 // DedupPages implements the VMM side of content-based page sharing (paper
 // §V): after a scan finds gpaA and gpaB hold identical content, gpaB's host
 // mapping is pointed at gpaA's frame, both become read-only, and gpaB's old
@@ -379,56 +365,6 @@ func (vm *VM) DedupPages(gpaA, gpaB uint64) error {
 		for _, ctx := range vm.ctxs {
 			ctx.hostPageChanged(gpa)
 		}
-	}
-	return nil
-}
-
-// DedupAcrossVMs shares one host frame between gpaA in vmA and gpaB in vmB
-// — inter-VM content-based sharing ("even between two virtual machines",
-// paper §V). Both VMs must be built over the same host memory. Either
-// guest's first write breaks the sharing through its own host COW exit.
-func DedupAcrossVMs(vmA *VM, gpaA uint64, vmB *VM, gpaB uint64) error {
-	if vmA.mem != vmB.mem {
-		return errors.New("vmm: cross-VM dedup requires a shared host memory")
-	}
-	if vmA == vmB {
-		return vmA.DedupPages(gpaA, gpaB)
-	}
-	ra, err := vmA.hpt.Lookup(gpaA)
-	if err != nil {
-		return err
-	}
-	rb, err := vmB.hpt.Lookup(gpaB)
-	if err != nil {
-		return err
-	}
-	if ra.Size != pagetable.Size4K || rb.Size != pagetable.Size4K {
-		return fmt.Errorf("vmm: cross-VM dedup of %s/%s pages not supported", ra.Size, rb.Size)
-	}
-	baseA := gpaA &^ pagetable.Size4K.Mask()
-	baseB := gpaB &^ pagetable.Size4K.Mask()
-	oldFrame := memsim.FrameOf(rb.Entry.Addr())
-	if vmB.mem.IsTable(oldFrame) {
-		return fmt.Errorf("vmm: refusing to dedup guest page-table page %#x", baseB)
-	}
-	if err := vmB.remap(baseB, ra.Entry.Addr(), 0); err != nil {
-		return err
-	}
-	if err := vmA.hpt.ClearFlags(baseA, pagetable.FlagWrite); err != nil {
-		return err
-	}
-	if err := vmB.mem.FreeFrame(oldFrame); err != nil {
-		return err
-	}
-	vmA.stats.PagesDeduped++
-	vmB.stats.PagesDeduped++
-	vmA.mmu.NTLBInvalidateGPA(vmA.id, baseA)
-	vmB.mmu.NTLBInvalidateGPA(vmB.id, baseB)
-	for _, ctx := range vmA.ctxs {
-		ctx.hostPageChanged(baseA)
-	}
-	for _, ctx := range vmB.ctxs {
-		ctx.hostPageChanged(baseB)
 	}
 	return nil
 }

@@ -568,8 +568,13 @@ func TestHostCOWFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	hpaBefore, _, _ := vm.TranslateGPA(gpa)
-	// VMM dedups the page (content sharing): host write protection.
-	if err := vm.WriteProtectHostPage(gpa); err != nil {
+	// VMM dedups the page with another (content sharing): host write
+	// protection.
+	other, err := vm.AllocGPA(pagetable.Size4K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.DedupPages(gpa, other); err != nil {
 		t.Fatal(err)
 	}
 	if len(mmu.ntlbDrops) == 0 {
@@ -865,62 +870,6 @@ func TestGuestTableFreeRecyclesGPA(t *testing.T) {
 
 // vmGpaHighWater exposes the bump pointer for the recycle assertion.
 func vmGpaHighWater(vm *VM) uint64 { return vm.gpaNext }
-
-func TestDedupAcrossVMs(t *testing.T) {
-	mem := memsim.New(512 << 20)
-	mk := func(id uint16) *VM {
-		cfg := DefaultConfig(walker.ModeNested)
-		cfg.RAMBytes = 16 << 20
-		vm, err := New(mem, NopMMU{}, id, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vm
-	}
-	vmA, vmB := mk(1), mk(2)
-	gpaA, _ := vmA.AllocGPA(pagetable.Size4K)
-	gpaB, _ := vmB.AllocGPA(pagetable.Size4K)
-	if err := DedupAcrossVMs(vmA, gpaA, vmB, gpaB); err != nil {
-		t.Fatalf("DedupAcrossVMs: %v", err)
-	}
-	hpaA, wA, _ := vmA.TranslateGPA(gpaA)
-	hpaB, wB, _ := vmB.TranslateGPA(gpaB)
-	if hpaA != hpaB || wA || wB {
-		t.Fatalf("not shared read-only: %#x/%v vs %#x/%v", hpaA, wA, hpaB, wB)
-	}
-	if vmA.Stats().PagesDeduped != 1 || vmB.Stats().PagesDeduped != 1 {
-		t.Error("dedup not accounted on both VMs")
-	}
-	// VM B writes: its host COW break gives it a private frame; VM A's
-	// mapping is untouched (still the shared frame, still read-only).
-	if err := vmB.HandleHostFault(gpaB, true); err != nil {
-		t.Fatal(err)
-	}
-	hpaA2, _, _ := vmA.TranslateGPA(gpaA)
-	hpaB2, wB2, _ := vmB.TranslateGPA(gpaB)
-	if hpaA2 != hpaA {
-		t.Error("VM A's mapping moved")
-	}
-	if hpaB2 == hpaA || !wB2 {
-		t.Errorf("VM B COW not broken: %#x writable=%v", hpaB2, wB2)
-	}
-	// Distinct memories refuse.
-	other := memsim.New(1 << 20)
-	cfg := DefaultConfig(walker.ModeNested)
-	vmC, err := New(other, NopMMU{}, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DedupAcrossVMs(vmA, gpaA, vmC, gpaB); err == nil {
-		t.Error("cross-memory dedup accepted")
-	}
-	// Same-VM path delegates to DedupPages.
-	g2, _ := vmA.AllocGPA(pagetable.Size4K)
-	g3, _ := vmA.AllocGPA(pagetable.Size4K)
-	if err := DedupAcrossVMs(vmA, g2, vmA, g3); err != nil {
-		t.Errorf("same-VM delegate: %v", err)
-	}
-}
 
 // TestShadowPrefetchSkipsAccessedClearEntries pins the A/D-emulation rule
 // for speculative fills: a shadow-fill VM exit prefetches sibling guest
