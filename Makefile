@@ -57,15 +57,19 @@ diffcheck:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
+# MICRO_PKGS is the package list of the per-layer microbenchmarks, shared
+# by bench-micro and bench-compare. Keep it in step with CI's benchstat
+# step.
+MICRO_PKGS = ./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc ./internal/vmm \
+	./internal/cpu ./internal/workload ./internal/repcache ./internal/memo
+
 # bench-micro runs the per-layer hot-path microbenchmarks (entry reads,
 # hardware walks, TLB, PWC and nested TLB probes, the shared
 # set-associative array, guest-table lookups and shadow fills, end-to-end
 # accesses, stream generation and replay, report-cache keys and memo hits)
-# over the same package list as CI's benchstat step.
+# over MICRO_PKGS.
 bench-micro:
-	$(GO) test -bench . -benchmem -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc ./internal/vmm \
-		./internal/cpu ./internal/workload ./internal/repcache ./internal/memo
+	$(GO) test -bench . -benchmem -run '^$$' -count 5 $(MICRO_PKGS)
 
 # bench-compare diffs the current tree's microbenchmarks against the
 # baseline recorded in BENCH_PR9.json (BENCH_PR7.json, BENCH_PR6.json,
@@ -75,9 +79,7 @@ bench-micro:
 # eyeball comparison.
 bench-compare:
 	@$(GO) run ./cmd/benchbaseline > /tmp/bench_baseline.txt
-	@$(GO) test -bench . -benchmem -run '^$$' -count 5 \
-		./internal/memsim ./internal/walker ./internal/tlb ./internal/ptwc ./internal/setassoc ./internal/vmm \
-		./internal/cpu ./internal/workload \
+	@$(GO) test -bench . -benchmem -run '^$$' -count 5 $(MICRO_PKGS) \
 		> /tmp/bench_current.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat /tmp/bench_baseline.txt /tmp/bench_current.txt; \

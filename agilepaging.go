@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"agilepaging/internal/core"
+	"agilepaging/internal/cpu"
 	"agilepaging/internal/experiments"
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/sweep"
@@ -356,25 +357,32 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return newResult(cfg.Workload, cfg.Technique, cfg.PageSize, rep), nil
+}
+
+// newResult converts a machine report into the facade's result record.
+// Run and Scenario.Run share it so both report the same fields the same
+// way.
+func newResult(workload string, tech Technique, ps PageSize, rep cpu.Report) Result {
 	return Result{
-		Workload:         cfg.Workload,
-		Technique:        cfg.Technique,
-		PageSize:         cfg.PageSize,
+		Workload:         workload,
+		Technique:        tech,
+		PageSize:         ps,
 		WalkOverhead:     rep.WalkOverhead(),
 		VMMOverhead:      rep.VMMOverhead(),
 		TotalOverhead:    rep.TotalOverhead(),
-		Accesses:         rep.Machine.Accesses,
-		TLBMisses:        rep.Machine.TLBMisses,
-		WalkRefs:         rep.Machine.WalkRefs,
-		VMExits:          rep.VMM.TotalTraps(),
-		GuestFaults:      rep.Machine.GuestPageFaults,
-		AvgRefsPerMiss:   rep.AvgRefsPerMiss(),
+		Accesses:         rep.Accesses,
+		TLBMisses:        rep.TLBMisses,
+		WalkRefs:         rep.WalkRefs,
+		VMExits:          rep.VMExitTotal(),
+		GuestFaults:      rep.GuestPageFaults,
+		AvgRefsPerMiss:   rep.RefsPerMiss(),
 		RefsP50:          rep.RefsP50,
 		RefsP95:          rep.RefsP95,
 		MPKI:             rep.MPKI(),
-		SwitchesToNested: rep.Agile.SwitchesToNested + rep.SHSP.ToNested,
-		SwitchesToShadow: rep.Agile.SwitchesToShadow + rep.SHSP.ToShadow,
-	}, nil
+		SwitchesToNested: rep.SwitchesToNested,
+		SwitchesToShadow: rep.SwitchesToShadow,
+	}
 }
 
 // validateConfigs rejects obviously bad specs before any simulation starts,

@@ -346,7 +346,7 @@ func runProfileForBench(name string, o experiments.Options) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return rep.Machine.Accesses, nil
+	return rep.Accesses, nil
 }
 
 // BenchmarkSHSP regenerates the §VII.C comparison against selective

@@ -105,7 +105,6 @@ func DefaultPolicy() PolicyConfig {
 type Stats struct {
 	SwitchesToNested uint64 // node conversions Shadow⇒Nested
 	SwitchesToShadow uint64 // node conversions Nested⇒Shadow
-	RootSwitches     uint64 // conversions involving the root (full nesting)
 	IntervalResets   uint64
 	DirtyScans       uint64
 	AgileEnabled     uint64 // short-lived policy upgrades to agile mode
@@ -240,11 +239,9 @@ func (m *Manager) switchToNested(gptPage uint64) {
 			m.stats.SwitchesToNested++
 		}
 	}
-	if err := m.ctx.PlantSwitch(gptPage); err == nil {
-		if info, ok := m.ctx.GPT().Info(gptPage); ok && info.Level == 0 {
-			m.stats.RootSwitches++
-		}
-	}
+	// The policy's nested marks stand even when no switch can be planted
+	// (for example, the context has no shadow table).
+	_ = m.ctx.PlantSwitch(gptPage)
 }
 
 // Tick advances policy time. now is the current simulated cycle count and

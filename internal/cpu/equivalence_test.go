@@ -251,7 +251,7 @@ func TestL0MemoInvalidation(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("agile adaptation run diverged with memo on:\nref:     %+v\nbatched: %+v", want, got)
 		}
-		if got.Agile.SwitchesToShadow+got.Agile.SwitchesToNested == 0 {
+		if got.SwitchesToShadow+got.SwitchesToNested == 0 {
 			t.Error("adaptation run exercised no policy switches; tighten the workload")
 		}
 	})

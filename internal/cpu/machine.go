@@ -434,7 +434,7 @@ func (m *Machine) ResetMeasurement() {
 	if m.tel != nil {
 		// Epochs must never straddle a counter reset: rebase the recorder
 		// so the next epoch diffs against the zeroed counter space.
-		m.tel.Rebase(m.TelemetryCounters())
+		m.tel.Rebase(m.Counters())
 	}
 }
 
@@ -537,7 +537,7 @@ func (m *Machine) accessRun(coreIdx int, ops []workload.Op) (int, error) {
 		err := m.translate(c, cur, op.VA, op.Write, op.Fetch)
 		m.policyTick()
 		if m.tel != nil && m.tel.OnAccess() {
-			m.tel.Sample(m.TelemetryCounters())
+			m.tel.Sample(m.Counters())
 		}
 		if err != nil {
 			return k, err
@@ -690,7 +690,7 @@ func (m *Machine) accessOn(coreIdx int, va uint64, write, fetch bool) error {
 	err := m.translate(c, cur, va, write, fetch)
 	m.policyTick()
 	if m.tel != nil && m.tel.OnAccess() {
-		m.tel.Sample(m.TelemetryCounters())
+		m.tel.Sample(m.Counters())
 	}
 	return err
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"agilepaging/internal/core"
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/trace"
 	"agilepaging/internal/walker"
@@ -70,8 +69,8 @@ func TestNativeAccessLifecycle(t *testing.T) {
 	if r.WalkCycles != 5*m.Config().MemRefCycles {
 		t.Errorf("walk cycles = %d", r.WalkCycles)
 	}
-	if r.VMMCycles != 0 {
-		t.Errorf("native run charged VMM cycles: %d", r.VMMCycles)
+	if r.TrapCycles != 0 {
+		t.Errorf("native run charged VMM cycles: %d", r.TrapCycles)
 	}
 	// Hardware set A on the touched page and D on the written one.
 	p, _ := m.OS.Process(0)
@@ -126,14 +125,14 @@ func TestVirtualizedTechniques(t *testing.T) {
 				t.Errorf("accesses = %d", s.Accesses)
 			}
 			r := m.Report("t")
-			if tech == walker.ModeNested && r.VMM.TotalTraps() != 0 {
-				t.Errorf("nested run trapped: %+v", r.VMM.Traps)
+			if tech == walker.ModeNested && r.VMExitTotal() != 0 {
+				t.Errorf("nested run trapped: %+v", r.VMExits)
 			}
 			if tech != walker.ModeNested {
-				if r.VMM.Traps[1] == 0 && r.VMM.Traps[0] == 0 {
-					t.Errorf("shadow-family run has no fills/PT traps: %+v", r.VMM.Traps)
+				if r.VMExits[1] == 0 && r.VMExits[0] == 0 {
+					t.Errorf("shadow-family run has no fills/PT traps: %+v", r.VMExits)
 				}
-				if r.VMMCycles == 0 {
+				if r.TrapCycles == 0 {
 					t.Error("no VMM cycles charged")
 				}
 			}
@@ -241,7 +240,7 @@ func TestProfilesRunAllTechniques(t *testing.T) {
 				t.Fatalf("%v/%v: %v", tech, ps, err)
 			}
 			r := m.Report(prof.Name)
-			if r.Machine.Accesses == 0 || r.IdealCycles == 0 {
+			if r.Accesses == 0 || r.IdealCycles == 0 {
 				t.Fatalf("%v/%v: empty report", tech, ps)
 			}
 		}
@@ -249,26 +248,27 @@ func TestProfilesRunAllTechniques(t *testing.T) {
 }
 
 func TestReportDerivations(t *testing.T) {
-	r := Report{IdealCycles: 1000, WalkCycles: 300, VMMCycles: 200}
+	var r Report
+	r.IdealCycles, r.WalkCycles, r.TrapCycles = 1000, 300, 200
 	if r.ExecCycles() != 1500 {
 		t.Error("ExecCycles")
 	}
 	if r.WalkOverhead() != 0.3 || r.VMMOverhead() != 0.2 || r.TotalOverhead() != 0.5 {
 		t.Error("overheads")
 	}
-	r.Machine.TLBMisses = 10
-	r.Machine.WalkRefs = 45
-	if r.AvgRefsPerMiss() != 4.5 {
-		t.Error("AvgRefsPerMiss")
+	r.TLBMisses = 10
+	r.WalkRefs = 45
+	if r.RefsPerMiss() != 4.5 {
+		t.Error("RefsPerMiss")
 	}
-	r.Machine.Accesses = 1000
+	r.Accesses = 1000
 	if r.MPKI() != 10 {
 		t.Error("MPKI")
 	}
 	if r.String() == "" {
 		t.Error("String")
 	}
-	if (Report{}).WalkOverhead() != 0 || (Report{}).AvgRefsPerMiss() != 0 || (Report{}).MPKI() != 0 {
+	if (Report{}).WalkOverhead() != 0 || (Report{}).RefsPerMiss() != 0 || (Report{}).MPKI() != 0 {
 		t.Error("zero-value derivations should be 0")
 	}
 }
@@ -363,18 +363,16 @@ func TestSHSPBaselineMachine(t *testing.T) {
 		t.Error("clock did not advance")
 	}
 	rep := m.Report("t")
-	if rep.SHSP.ToShadow+rep.SHSP.ToNested+rep.SHSP.Rebuilds != ctlsTotal(ctls) {
-		t.Error("report does not aggregate SHSP stats")
-	}
-}
-
-func ctlsTotal(ctls map[uint16]*core.SHSP) uint64 {
-	var n uint64
+	var toShadow, toNested uint64
 	for _, c := range ctls {
 		s := c.Stats()
-		n += s.ToShadow + s.ToNested + s.Rebuilds
+		toShadow += s.ToShadow
+		toNested += s.ToNested
 	}
-	return n
+	if rep.SwitchesToShadow != toShadow || rep.SwitchesToNested != toNested {
+		t.Errorf("report switches %d/%d, SHSP controllers %d/%d",
+			rep.SwitchesToShadow, rep.SwitchesToNested, toShadow, toNested)
+	}
 }
 
 func TestContextSwitchConvenienceWrapper(t *testing.T) {
@@ -410,13 +408,13 @@ func TestInstructionFetchUsesITLB(t *testing.T) {
 	if m.Stats().TLBMisses != 1 {
 		t.Error("warm fetch missed")
 	}
-	pre := m.Report("t").TLB
+	pre := m.Counters()
 	if err := m.Access(code, false); err != nil {
 		t.Fatal(err)
 	}
-	post := m.Report("t").TLB
-	if post.L2Hits != pre.L2Hits+1 {
-		t.Errorf("data access after fetch: L2 hits %d -> %d, want unified-L2 hit", pre.L2Hits, post.L2Hits)
+	post := m.Counters()
+	if post.TLBL2Hits != pre.TLBL2Hits+1 {
+		t.Errorf("data access after fetch: L2 hits %d -> %d, want unified-L2 hit", pre.TLBL2Hits, post.TLBL2Hits)
 	}
 }
 

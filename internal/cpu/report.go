@@ -3,34 +3,22 @@ package cpu
 import (
 	"fmt"
 
-	"agilepaging/internal/core"
-	"agilepaging/internal/guest"
 	"agilepaging/internal/pagetable"
-	"agilepaging/internal/tlb"
-	"agilepaging/internal/vmm"
+	"agilepaging/internal/telemetry"
 	"agilepaging/internal/walker"
 )
 
-// Report is the full measurement record of one run — the counters the
-// paper's performance model (Table IV) consumes plus the derived cycle
-// decomposition that Figure 5 plots.
+// Report is the full measurement record of one run: the run's identity,
+// the final counter snapshot (the same telemetry.Counters schema epochs
+// diff, carrying everything the paper's performance model, Table IV,
+// consumes), and the per-miss walk-reference distribution. The derived
+// cycle decomposition that Figure 5 plots is computed from the counters.
 type Report struct {
 	Workload  string
 	Technique walker.Mode
 	PageSize  pagetable.Size
 
-	Machine Stats
-	TLB     tlb.Stats
-	Walker  walker.Stats
-	VMM     vmm.Stats // zero for base native
-	OS      guest.Stats
-	Agile   core.Stats     // aggregated over processes; zero unless agile
-	SHSP    core.SHSPStats // aggregated; zero unless the SHSP baseline runs
-
-	// Cycle decomposition.
-	IdealCycles uint64 // E_ideal: execution with zero translation overhead
-	WalkCycles  uint64 // PW: page-walk memory references (incl. hw A/D walks)
-	VMMCycles   uint64 // VMM: VM-exit servicing
+	telemetry.Counters
 
 	// Per-miss walk-reference distribution (completed walks only).
 	RefsP50 int
@@ -39,7 +27,7 @@ type Report struct {
 }
 
 // ExecCycles is total modeled execution time.
-func (r Report) ExecCycles() uint64 { return r.IdealCycles + r.WalkCycles + r.VMMCycles }
+func (r Report) ExecCycles() uint64 { return r.IdealCycles + r.WalkCycles + r.TrapCycles }
 
 // WalkOverhead is page-walk cycles relative to ideal execution (the bottom
 // bar segment in Figure 5).
@@ -56,28 +44,19 @@ func (r Report) VMMOverhead() float64 {
 	if r.IdealCycles == 0 {
 		return 0
 	}
-	return float64(r.VMMCycles) / float64(r.IdealCycles)
+	return float64(r.TrapCycles) / float64(r.IdealCycles)
 }
 
 // TotalOverhead is the combined execution-time overhead.
 func (r Report) TotalOverhead() float64 { return r.WalkOverhead() + r.VMMOverhead() }
 
-// AvgRefsPerMiss is the average number of page-walk memory references per
-// TLB miss (paper Table VI's final column).
-func (r Report) AvgRefsPerMiss() float64 {
-	if r.Machine.TLBMisses == 0 {
-		return 0
-	}
-	return float64(r.Machine.WalkRefs) / float64(r.Machine.TLBMisses)
-}
-
 // MPKI returns TLB misses per thousand accesses (the paper selects
 // workloads above 5 MPKI).
 func (r Report) MPKI() float64 {
-	if r.Machine.Accesses == 0 {
+	if r.Accesses == 0 {
 		return 0
 	}
-	return 1000 * float64(r.Machine.TLBMisses) / float64(r.Machine.Accesses)
+	return 1000 * float64(r.TLBMisses) / float64(r.Accesses)
 }
 
 // String summarizes the report in one line.
@@ -85,65 +64,18 @@ func (r Report) String() string {
 	return fmt.Sprintf("%s/%s/%s: walk %.1f%% vmm %.1f%% (misses %d, traps %d)",
 		r.Workload, r.Technique, r.PageSize,
 		100*r.WalkOverhead(), 100*r.VMMOverhead(),
-		r.Machine.TLBMisses, r.VMM.TotalTraps())
+		r.TLBMisses, r.VMExitTotal())
 }
 
 // Report assembles the measurement record for everything run so far.
 func (m *Machine) Report(workloadName string) Report {
-	r := Report{
+	return Report{
 		Workload:  workloadName,
 		Technique: m.cfg.Technique,
 		PageSize:  m.cfg.PageSize,
-		Machine:   m.stats,
-		OS:        m.OS.Stats(),
+		Counters:  m.Counters(),
+		RefsP50:   m.refsHist.Percentile(0.5),
+		RefsP95:   m.refsHist.Percentile(0.95),
+		RefsMax:   m.refsHist.Max(),
 	}
-	for _, c := range m.cores {
-		ts := c.tlbs.Stats()
-		r.TLB.Lookups += ts.Lookups
-		r.TLB.L1Hits += ts.L1Hits
-		r.TLB.L2Hits += ts.L2Hits
-		r.TLB.Misses += ts.Misses
-		r.TLB.Flushes += ts.Flushes
-		r.TLB.Invalids += ts.Invalids
-		ws := c.walker.Stats()
-		r.Walker.Walks += ws.Walks
-		r.Walker.Refs += ws.Refs
-		for i := range ws.Faults {
-			r.Walker.Faults[i] += ws.Faults[i]
-		}
-		for i := range ws.ByNestedLevels {
-			r.Walker.ByNestedLevels[i] += ws.ByNestedLevels[i]
-			r.Walker.RefsByNestedLevels[i] += ws.RefsByNestedLevels[i]
-		}
-		r.Walker.FullNested += ws.FullNested
-		r.Walker.FullNestedRefs += ws.FullNestedRefs
-	}
-	r.IdealCycles = m.stats.IdealCycles
-	r.WalkCycles = m.stats.WalkCycles
-	r.RefsP50 = m.refsHist.Percentile(0.5)
-	r.RefsP95 = m.refsHist.Percentile(0.95)
-	r.RefsMax = m.refsHist.Max()
-	if m.VM != nil {
-		r.VMM = m.VM.Stats()
-		r.VMMCycles = r.VMM.TrapCycles
-		// The §IV hardware A/D optimization converts VM exits into extra
-		// page-walk references; charge them to the walk bucket.
-		r.WalkCycles += r.VMM.HWADRefs * m.cfg.MemRefCycles
-	}
-	for _, mgr := range m.managers {
-		s := mgr.Stats()
-		r.Agile.SwitchesToNested += s.SwitchesToNested
-		r.Agile.SwitchesToShadow += s.SwitchesToShadow
-		r.Agile.RootSwitches += s.RootSwitches
-		r.Agile.IntervalResets += s.IntervalResets
-		r.Agile.DirtyScans += s.DirtyScans
-		r.Agile.AgileEnabled += s.AgileEnabled
-	}
-	for _, ctl := range m.shsp {
-		s := ctl.Stats()
-		r.SHSP.ToShadow += s.ToShadow
-		r.SHSP.ToNested += s.ToNested
-		r.SHSP.Rebuilds += s.Rebuilds
-	}
-	return r
 }

@@ -13,7 +13,7 @@ import (
 func (m *Machine) SetTelemetry(rec *telemetry.Recorder) {
 	m.tel = rec
 	if rec != nil {
-		rec.Rebase(m.TelemetryCounters())
+		rec.Rebase(m.Counters())
 	}
 }
 
@@ -26,15 +26,17 @@ func (m *Machine) SetWalkEventRing(ring *telemetry.EventRing) { m.walkEvents = r
 // it once after the op stream ends so the series covers the full tail.
 func (m *Machine) FlushTelemetry() {
 	if m.tel != nil {
-		m.tel.Flush(m.TelemetryCounters())
+		m.tel.Flush(m.Counters())
 	}
 }
 
-// TelemetryCounters assembles one flat counter snapshot across every layer
-// of the machine: per-core TLBs, walkers and MMU caches, the VMM's trap
-// accounting, the guest OS, and the agile managers' policy state. It only
-// reads — attaching telemetry must leave simulated results bit-identical.
-func (m *Machine) TelemetryCounters() telemetry.Counters {
+// Counters assembles one flat counter snapshot across every layer of the
+// machine: per-core TLBs, walkers and MMU caches, the VMM's trap
+// accounting, the guest OS, and the agile managers' (or SHSP controllers')
+// policy state. It is the only place counters are aggregated: epoch
+// telemetry samples it and Report embeds it. It only reads — attaching
+// telemetry must leave simulated results bit-identical.
+func (m *Machine) Counters() telemetry.Counters {
 	var c telemetry.Counters
 	c.Clock = m.clock
 	c.Accesses = m.stats.Accesses
@@ -43,6 +45,7 @@ func (m *Machine) TelemetryCounters() telemetry.Counters {
 	c.WalkRefs = m.stats.WalkRefs
 	c.GuestPageFaults = m.stats.GuestPageFaults
 	c.WriteProtFaults = m.stats.WriteProtFaults
+	c.CtxSwitches = m.stats.CtxSwitches
 	c.IdealCycles = m.stats.IdealCycles
 	c.WalkCycles = m.stats.WalkCycles
 
@@ -53,6 +56,7 @@ func (m *Machine) TelemetryCounters() telemetry.Counters {
 		c.TLBL2Hits += ts.L2Hits
 		ws := core.walker.Stats()
 		c.Walks += ws.Walks
+		c.WalkerRefs += ws.Refs
 		for i := range ws.ByNestedLevels {
 			c.WalksByNestedLevels[i] += ws.ByNestedLevels[i]
 			c.RefsByNestedLevels[i] += ws.RefsByNestedLevels[i]
@@ -77,6 +81,9 @@ func (m *Machine) TelemetryCounters() telemetry.Counters {
 		c.TrapCycles = vs.TrapCycles
 		c.PTUpdateTrapCycles = vs.Traps[vmm.TrapPTWrite]*m.cfg.TrapCosts.Cycles[vmm.TrapPTWrite] +
 			vs.Traps[vmm.TrapTLBFlush]*m.cfg.TrapCosts.Cycles[vmm.TrapTLBFlush]
+		// The §IV hardware A/D optimization converts VM exits into extra
+		// page-walk references; charge them to the walk bucket.
+		c.WalkCycles += vs.HWADRefs * m.cfg.MemRefCycles
 		m.VM.EachContext(func(ctx *vmm.Context) {
 			c.ProtectedPages += ctx.ProtectedPages()
 			byLevel := ctx.ProtectedPagesByLevel()
@@ -100,6 +107,13 @@ func (m *Machine) TelemetryCounters() telemetry.Counters {
 		for l := range byLevel {
 			c.NestedNodesByLevel[l] += byLevel[l]
 		}
+	}
+	// SHSP replaces the agile manager, so at most one of the two loops
+	// contributes switches.
+	for _, ctl := range m.shsp {
+		s := ctl.Stats()
+		c.SwitchesToNested += s.ToNested
+		c.SwitchesToShadow += s.ToShadow
 	}
 	return c
 }

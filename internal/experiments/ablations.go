@@ -119,9 +119,9 @@ func runAblation(_ context.Context, j sweep.Job[ablationSpec]) (AblationRow, err
 	if err != nil {
 		return AblationRow{}, err
 	}
-	traps := rep.VMM.TotalTraps()
+	traps := rep.VMExitTotal()
 	if s.kind == ablationCtxSwitch {
-		traps = rep.VMM.Traps[vmm.TrapContextSwitch]
+		traps = rep.VMExits[vmm.TrapContextSwitch]
 	}
 	return AblationRow{
 		Name: j.Key, Workload: j.Workload,

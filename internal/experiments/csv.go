@@ -23,10 +23,10 @@ func WriteFigure5CSV(w io.Writer, f *Figure5Result) error {
 			fmt.Sprintf("%.6f", r.WalkOv),
 			fmt.Sprintf("%.6f", r.VMMOv),
 			fmt.Sprintf("%.6f", r.TotalOv()),
-			fmt.Sprintf("%d", r.Report.Machine.TLBMisses),
-			fmt.Sprintf("%d", r.Report.Machine.WalkRefs),
-			fmt.Sprintf("%d", r.Report.VMM.TotalTraps()),
-			fmt.Sprintf("%.4f", r.Report.AvgRefsPerMiss()),
+			fmt.Sprintf("%d", r.Report.TLBMisses),
+			fmt.Sprintf("%d", r.Report.WalkRefs),
+			fmt.Sprintf("%d", r.Report.VMExitTotal()),
+			fmt.Sprintf("%.4f", r.Report.RefsPerMiss()),
 			fmt.Sprintf("%.4f", r.Report.MPKI()),
 		}
 		if err := cw.Write(rec); err != nil {

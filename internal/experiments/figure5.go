@@ -246,15 +246,15 @@ func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, acce
 		return perfmodel.Measured{
 			ExecCycles:       r.ExecCycles(),
 			TLBMissCycles:    r.WalkCycles,
-			TLBMisses:        r.Machine.TLBMisses,
-			HypervisorCycles: r.VMMCycles,
+			TLBMisses:        r.TLBMisses,
+			HypervisorCycles: r.TrapCycles,
 		}
 	}
 	avoided := trace.AvoidedCycles(&shadowTraps, &agileTraps, vmm.DefaultCostModel())
 	proj, err := perfmodel.ProjectAgile(
 		toMeasured(nestedRep), toMeasured(shadowRep), ideal,
 		agileMiss.Summary().NestedFractions(),
-		nativeRep.Machine.TLBMisses, avoided,
+		nativeRep.TLBMisses, avoided,
 	)
 	if err != nil {
 		return ModelValidation{}, fmt.Errorf("experiments: %s projection: %w", name, err)

@@ -105,23 +105,23 @@ func captureGolden(t *testing.T) goldenData {
 			Technique:       r.Technique.String(),
 			WalkOvBits:      math.Float64bits(r.WalkOv),
 			VMMOvBits:       math.Float64bits(r.VMMOv),
-			Accesses:        rep.Machine.Accesses,
-			Writes:          rep.Machine.Writes,
-			TLBMisses:       rep.Machine.TLBMisses,
-			WalkRefs:        rep.Machine.WalkRefs,
-			GuestPageFaults: rep.Machine.GuestPageFaults,
-			WriteProtFaults: rep.Machine.WriteProtFaults,
-			CtxSwitches:     rep.Machine.CtxSwitches,
+			Accesses:        rep.Accesses,
+			Writes:          rep.Writes,
+			TLBMisses:       rep.TLBMisses,
+			WalkRefs:        rep.WalkRefs,
+			GuestPageFaults: rep.GuestPageFaults,
+			WriteProtFaults: rep.WriteProtFaults,
+			CtxSwitches:     rep.CtxSwitches,
 			IdealCycles:     rep.IdealCycles,
 			WalkCycles:      rep.WalkCycles,
-			VMMCycles:       rep.VMMCycles,
-			TLBLookups:      rep.TLB.Lookups,
-			TLBL1Hits:       rep.TLB.L1Hits,
-			TLBL2Hits:       rep.TLB.L2Hits,
-			WalkerWalks:     rep.Walker.Walks,
-			WalkerRefs:      rep.Walker.Refs,
-			ByNestedLevels:  rep.Walker.ByNestedLevels,
-			FullNested:      rep.Walker.FullNested,
+			VMMCycles:       rep.TrapCycles,
+			TLBLookups:      rep.TLBLookups,
+			TLBL1Hits:       rep.TLBL1Hits,
+			TLBL2Hits:       rep.TLBL2Hits,
+			WalkerWalks:     rep.Walks,
+			WalkerRefs:      rep.WalkerRefs,
+			ByNestedLevels:  rep.WalksByNestedLevels,
+			FullNested:      rep.FullNestedWalks,
 			RefsP50:         rep.RefsP50,
 			RefsP95:         rep.RefsP95,
 			RefsMax:         rep.RefsMax,

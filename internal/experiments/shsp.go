@@ -87,7 +87,7 @@ func SHSPComparisonSweep(ctx context.Context, cfg sweep.Config, workloads []stri
 		}
 		return shspResult{
 			overhead: rep.TotalOverhead(),
-			switches: rep.SHSP.ToShadow + rep.SHSP.ToNested,
+			switches: rep.SwitchesToShadow + rep.SwitchesToNested,
 		}, nil
 	})
 	// A comparison row needs all four of its configuration cells; workloads

@@ -86,7 +86,7 @@ func tableIRow(tech walker.Mode) (TableIRow, error) {
 	if err != nil {
 		return TableIRow{}, err
 	}
-	updates := rep.OS.MapsInstalled + rep.OS.Unmapped
+	updates := rep.PTUpdates()
 	costs := vmm.DefaultCostModel()
 	mediated := traps.Counts[vmm.TrapPTWrite]*costs.Cycles[vmm.TrapPTWrite] +
 		traps.Counts[vmm.TrapTLBFlush]*costs.Cycles[vmm.TrapTLBFlush]

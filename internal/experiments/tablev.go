@@ -42,10 +42,6 @@ func TableVSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64
 		if err != nil {
 			return TableVRow{}, err
 		}
-		missRatio := 0.0
-		if rep.Machine.Accesses > 0 {
-			missRatio = float64(rep.Machine.TLBMisses) / float64(rep.Machine.Accesses)
-		}
 		procs := prof.Processes
 		if procs == 0 {
 			procs = 1
@@ -56,9 +52,9 @@ func TableVSweep(ctx context.Context, cfg sweep.Config, accesses int, seed int64
 			Pattern:        prof.Pattern.String(),
 			Processes:      procs,
 			MPKI:           rep.MPKI(),
-			MissRatio:      missRatio,
+			MissRatio:      rep.MissRate(),
 			WalkOverhead:   rep.WalkOverhead(),
-			PTUpdateEvents: rep.OS.MapsInstalled + rep.OS.Unmapped,
+			PTUpdateEvents: rep.PTUpdates(),
 		}, nil
 	})
 	rows, _ := partialOutcome(jobs, out)

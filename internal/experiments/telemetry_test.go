@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"agilepaging/internal/cpu"
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/telemetry"
 	"agilepaging/internal/trace"
@@ -46,43 +48,131 @@ func TestTelemetryPurity(t *testing.T) {
 }
 
 // TestTelemetryEpochAccounting: the epoch series must tile the measured
-// window — interval access counts sum to the run's accesses, boundaries
-// chain, and clocks are monotone.
+// window. Boundaries chain, clocks are monotone, and for every cumulative
+// counter the epoch deltas sum to the end-of-run report's value — the
+// report is the final snapshot of the same schema, so nothing may be
+// counted on one path and not the other. The cases cover the two places
+// the paths once disagreed: the hardware A/D walk charge, and SHSP's mode
+// switches after a warmup.
+//
+// Known gap: ResetMeasurement does not zero the policy's decision counters
+// (SwitchesTo*, DirtyScans), so decisions taken during warmup reach the
+// report but no epoch. None of these cases decides anything in warmup;
+// an agile run without the start-nested delay does (see ROADMAP.md).
 func TestTelemetryEpochAccounting(t *testing.T) {
-	rec := telemetry.NewRecorder(1_000)
-	o := DefaultOptions(walker.ModeAgile, pagetable.Size4K)
-	o.Accesses = 10_500
-	o.Metrics = rec
-	rep, err := RunProfile("dedup", o)
-	if err != nil {
-		t.Fatal(err)
+	shadowHWAD := DefaultOptions(walker.ModeShadow, pagetable.Size4K)
+	shadowHWAD.HardwareAD = true
+
+	shsp := DefaultOptions(walker.ModeAgile, pagetable.Size4K)
+	shsp.UseSHSP = true
+	shsp.Accesses = 60_000
+	shsp.Warmup = 60_000
+
+	agile := DefaultOptions(walker.ModeAgile, pagetable.Size4K)
+	agile.Accesses = 10_500
+
+	cases := []struct {
+		name     string
+		epochLen int
+		o        Options
+		run      func(Options) (cpu.Report, error)
+		// epochs, when non-zero, pins the series length; full epochs
+		// must then hold exactly epochLen accesses.
+		epochs int
+		// check names a counter the case exists to exercise; it must be
+		// non-zero in the report.
+		check func(cpu.Report) uint64
+	}{
+		{
+			name: "agile/dedup", epochLen: 1_000, o: agile, epochs: 11,
+			run:   func(o Options) (cpu.Report, error) { return RunProfile("dedup", o) },
+			check: func(r cpu.Report) uint64 { return r.Accesses },
+		},
+		{
+			name: "shadow+hwAD/read-then-write", epochLen: 100, o: shadowHWAD,
+			run: func(o Options) (cpu.Report, error) {
+				rep, _, err := RunOps("read-then-write", readThenWriteOps(512), o)
+				return rep, err
+			},
+			check: func(r cpu.Report) uint64 { return r.WalkCycles },
+		},
+		{
+			name: "shsp/memcached", epochLen: 5_000, o: shsp,
+			run:   func(o Options) (cpu.Report, error) { return RunProfile("memcached", o) },
+			check: func(r cpu.Report) uint64 { return r.SwitchesToNested + r.SwitchesToShadow },
+		},
 	}
-	s := rec.Series()
-	// 10 full epochs plus the flushed partial tail.
-	if len(s.Epochs) != 11 {
-		t.Fatalf("epochs = %d, want 11", len(s.Epochs))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := telemetry.NewRecorder(tc.epochLen)
+			o := tc.o
+			o.Metrics = rec
+			rep, err := tc.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.check(rep) == 0 {
+				t.Fatal("the run does not exercise the counter this case is for")
+			}
+			s := rec.Series()
+			if tc.epochs != 0 && len(s.Epochs) != tc.epochs {
+				t.Fatalf("epochs = %d, want %d", len(s.Epochs), tc.epochs)
+			}
+			for i, e := range s.Epochs {
+				if i > 0 {
+					prev := s.Epochs[i-1]
+					if e.StartAccesses != prev.EndAccesses || e.StartClock != prev.EndClock {
+						t.Errorf("epoch %d does not chain: %+v after %+v", i, e, prev)
+					}
+				}
+				if e.EndClock < e.StartClock {
+					t.Errorf("epoch %d clock not monotone", i)
+				}
+				if tc.epochs != 0 && i < tc.epochs-1 && e.Delta.Accesses != uint64(tc.epochLen) {
+					t.Errorf("epoch %d accesses = %d, want %d", i, e.Delta.Accesses, tc.epochLen)
+				}
+			}
+			// Machine accesses exceed the op count (instruction fetches
+			// translate too); the series must tile exactly whatever the
+			// machine measured, counter by counter.
+			for _, f := range tilingMismatches(s.Epochs, rep.Counters) {
+				t.Error(f)
+			}
+		})
 	}
-	var accesses uint64
-	for i, e := range s.Epochs {
-		accesses += e.Delta.Accesses
-		if i > 0 {
-			prev := s.Epochs[i-1]
-			if e.StartAccesses != prev.EndAccesses || e.StartClock != prev.EndClock {
-				t.Errorf("epoch %d does not chain: %+v after %+v", i, e, prev)
+}
+
+// tilingMismatches lists the cumulative fields (uint64 scalars and array
+// elements) whose epoch deltas do not sum to the report's value. Clock is
+// skipped: it is a timestamp that warmup does not reset, so epochs chain
+// its values rather than sum to it.
+func tilingMismatches(epochs []telemetry.Epoch, rep telemetry.Counters) []string {
+	var out []string
+	check := func(name string, field func(telemetry.Counters) reflect.Value) {
+		var sum uint64
+		for _, e := range epochs {
+			sum += field(e.Delta).Uint()
+		}
+		if want := field(rep).Uint(); sum != want {
+			out = append(out, fmt.Sprintf("%s: epochs sum to %d, report says %d", name, sum, want))
+		}
+	}
+	typ := reflect.TypeOf(rep)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch {
+		case f.Name == "Clock":
+		case f.Type.Kind() == reflect.Uint64:
+			check(f.Name, func(c telemetry.Counters) reflect.Value { return reflect.ValueOf(c).Field(i) })
+		case f.Type.Kind() == reflect.Array && f.Type.Elem().Kind() == reflect.Uint64:
+			for j := 0; j < f.Type.Len(); j++ {
+				check(fmt.Sprintf("%s[%d]", f.Name, j), func(c telemetry.Counters) reflect.Value {
+					return reflect.ValueOf(c).Field(i).Index(j)
+				})
 			}
 		}
-		if e.EndClock < e.StartClock {
-			t.Errorf("epoch %d clock not monotone", i)
-		}
-		if i < 10 && e.Delta.Accesses != 1_000 {
-			t.Errorf("epoch %d accesses = %d, want 1000", i, e.Delta.Accesses)
-		}
 	}
-	// Machine accesses exceed the op count (instruction fetches translate
-	// too); the series must tile exactly whatever the machine measured.
-	if accesses != rep.Machine.Accesses {
-		t.Errorf("epoch accesses sum to %d, machine measured %d", accesses, rep.Machine.Accesses)
-	}
+	return out
 }
 
 // TestMissLogWriteBitsSurviveRoundTrip is the regression test for the

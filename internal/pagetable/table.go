@@ -78,7 +78,7 @@ func (h HostSpace) FreeTablePage(pa uint64) error {
 type WriteHook func(pageAddr uint64, level, idx int, old, new Entry)
 
 // FreeHook observes every table page released back to the Space by a
-// structural prune (FreeEmpty) or teardown (Destroy). The VMM installs one
+// structural prune (FreeEmpty). The VMM installs one
 // on each guest page table so it can tear down write-protect tracking and
 // the covering shadow subtree *before* the guest table page is freed — the
 // shadow-invalidation contract for structural guest page-table edits. The
@@ -153,7 +153,7 @@ func (t *Table) Space() Space { return t.space }
 func (t *Table) SetWriteHook(h WriteHook) { t.hook = h }
 
 // SetFreeHook installs h as the observer of all table-page frees performed
-// by FreeEmpty and Destroy. Passing nil removes the hook.
+// by FreeEmpty. Passing nil removes the hook.
 func (t *Table) SetFreeHook(h FreeHook) { t.fhook = h }
 
 // LevelOf reports the level of the table page at in-space address pa, or
@@ -627,31 +627,4 @@ func (t *Table) Reset() error {
 	t.levelOf[root] = 0
 	t.vaBaseOf[root] = 0
 	return nil
-}
-
-// Destroy releases every table page including the root. The table must not
-// be used afterwards.
-func (t *Table) Destroy() {
-	var free func(pageAddr uint64, level int)
-	free = func(pageAddr uint64, level int) {
-		for idx := 0; idx < memsim.EntriesPerTable; idx++ {
-			e := t.readEntry(pageAddr, idx)
-			if !e.Present() || e.Switching() {
-				continue
-			}
-			_, leafOK := SizeAtLevel(level)
-			if level == NumLevels-1 || (e.Huge() && leafOK) {
-				continue
-			}
-			free(e.Addr(), level+1)
-		}
-		if t.fhook != nil {
-			t.fhook(pageAddr, level, t.vaBaseOf[pageAddr])
-		}
-		delete(t.levelOf, pageAddr)
-		delete(t.vaBaseOf, pageAddr)
-		_ = t.space.FreeTablePage(pageAddr)
-	}
-	free(t.root, 0)
-	t.root = 0
 }

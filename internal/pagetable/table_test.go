@@ -351,24 +351,6 @@ func TestFreeEmptyPrunes(t *testing.T) {
 	}
 }
 
-func TestDestroyReleasesAllFrames(t *testing.T) {
-	mem := memsim.New(64 << 20)
-	base := mem.AllocatedFrames()
-	tbl, err := New(mem, HostSpace{Mem: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 32; i++ {
-		if err := tbl.Map(i<<30|0x1000, 0x2000, Size4K, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tbl.Destroy()
-	if mem.AllocatedFrames() != base {
-		t.Errorf("Destroy leaked frames: %d -> %d", base, mem.AllocatedFrames())
-	}
-}
-
 // TestMapLookupProperty checks the fundamental invariant va⇒pa round-trips
 // across random sparse mappings at random sizes.
 func TestMapLookupProperty(t *testing.T) {

@@ -13,10 +13,7 @@
 // lets us validate the paper's methodology against direct simulation.
 package perfmodel
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrZeroIdeal reports an overhead computation against zero ideal cycles —
 // a malformed Measured that would otherwise masquerade as 0% overhead.
@@ -31,19 +28,6 @@ type Measured struct {
 	TLBMissCycles    uint64 // T
 	TLBMisses        uint64 // M
 	HypervisorCycles uint64 // H
-}
-
-// Ideal computes E_ideal = E − T from a base-native run (Table IV row 1;
-// the paper uses the native 2M configuration). A run reporting more
-// TLB-miss cycles than execution cycles is malformed — silently clamping
-// it to 0 used to let every downstream overhead read as a plausible 0%,
-// so it is an error instead.
-func Ideal(native Measured) (uint64, error) {
-	if native.TLBMissCycles > native.ExecCycles {
-		return 0, fmt.Errorf("perfmodel: TLB-miss cycles %d exceed execution cycles %d",
-			native.TLBMissCycles, native.ExecCycles)
-	}
-	return native.ExecCycles - native.TLBMissCycles, nil
 }
 
 // Overheads is the two-component decomposition Figure 5 plots.

@@ -9,22 +9,6 @@ import (
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestIdeal(t *testing.T) {
-	got, err := Ideal(Measured{ExecCycles: 1000, TLBMissCycles: 200})
-	if err != nil || got != 800 {
-		t.Errorf("Ideal = %d, %v", got, err)
-	}
-	// A run claiming more TLB-miss cycles than execution cycles is
-	// malformed and must be reported, not clamped to a plausible 0.
-	if _, err := Ideal(Measured{ExecCycles: 100, TLBMissCycles: 200}); err == nil {
-		t.Error("degenerate Measured accepted")
-	}
-	// The T == E boundary is valid (ideal 0 is then a true measurement).
-	if got, err := Ideal(Measured{ExecCycles: 200, TLBMissCycles: 200}); err != nil || got != 0 {
-		t.Errorf("boundary Ideal = %d, %v", got, err)
-	}
-}
-
 func TestComputeOverheads(t *testing.T) {
 	m := Measured{ExecCycles: 1500, TLBMissCycles: 300, HypervisorCycles: 200}
 	o, err := Compute(m, 1000)

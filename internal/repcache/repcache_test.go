@@ -22,11 +22,11 @@ func sampleReport(i int) cpu.Report {
 	var rep cpu.Report
 	rep.Workload = fmt.Sprintf("sample-%d", i)
 	rep.PageSize = pagetable.Size4K
-	rep.Machine.Accesses = uint64(1_000_000 + i)
-	rep.Machine.TLBMisses = uint64(5_000 + i)
+	rep.Accesses = uint64(1_000_000 + i)
+	rep.TLBMisses = uint64(5_000 + i)
 	rep.IdealCycles = (1 << 54) + uint64(i)
 	rep.WalkCycles = uint64(77_777 + i)
-	rep.VMMCycles = uint64(3_333 + i)
+	rep.TrapCycles = uint64(3_333 + i)
 	rep.RefsP50 = 4
 	rep.RefsP95 = 24
 	rep.RefsMax = 35 + i

@@ -104,24 +104,6 @@ func (h *Hist) Percentile(p float64) int {
 	return len(h.buckets)
 }
 
-// Merge adds the contents of other into h. Both histograms must have the
-// same bucket limit.
-func (h *Hist) Merge(other *Hist) error {
-	if len(h.buckets) != len(other.buckets) {
-		return fmt.Errorf("stats: merging histograms with limits %d and %d", len(h.buckets), len(other.buckets))
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.overflow += other.overflow
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	return nil
-}
-
 // Reset zeroes the histogram.
 func (h *Hist) Reset() {
 	for i := range h.buckets {

@@ -75,23 +75,6 @@ func TestHistPercentile(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	a, b := NewHist(8), NewHist(8)
-	a.Add(1)
-	a.Add(2)
-	b.Add(2)
-	b.Add(9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 4 || a.Bucket(2) != 2 || a.Overflow() != 1 || a.Max() != 9 {
-		t.Errorf("merged: %s max=%d", a, a.Max())
-	}
-	if err := a.Merge(NewHist(4)); err == nil {
-		t.Error("mismatched merge accepted")
-	}
-}
-
 // TestHistMeanProperty: histogram mean equals the true mean for any input
 // within the bucket range.
 func TestHistMeanProperty(t *testing.T) {
@@ -143,38 +126,5 @@ func TestHistPercentileOverflowCrossing(t *testing.T) {
 	all.Add(50)
 	if p := all.Percentile(0.01); p != 3 {
 		t.Errorf("all-overflow p1 = %d", p)
-	}
-}
-
-// TestHistMergeOverflowAndMaxPropagation: Merge must combine the overflow
-// mass of both histograms and keep the larger max, whichever side holds it,
-// and the merged mean must reflect the true combined sum.
-func TestHistMergeOverflowAndMaxPropagation(t *testing.T) {
-	a, b := NewHist(4), NewHist(4)
-	a.Add(10) // a overflow, a.max = 10
-	a.Add(1)
-	b.Add(6) // b overflow, smaller max
-	b.Add(2)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Overflow() != 2 {
-		t.Errorf("merged overflow = %d, want 2", a.Overflow())
-	}
-	if a.Max() != 10 {
-		t.Errorf("merged max = %d, want receiver's 10 retained", a.Max())
-	}
-	if a.Mean() != (10+1+6+2)/4.0 {
-		t.Errorf("merged mean = %v", a.Mean())
-	}
-	// The other direction: the argument's larger max wins.
-	c, d := NewHist(4), NewHist(4)
-	c.Add(5)
-	d.Add(20)
-	if err := c.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	if c.Max() != 20 || c.Overflow() != 2 {
-		t.Errorf("merged max/overflow = %d/%d, want 20/2", c.Max(), c.Overflow())
 	}
 }

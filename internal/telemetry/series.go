@@ -84,10 +84,10 @@ func (s *Series) WriteCSV(w io.Writer) error {
 		d := e.Delta
 		_, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%.6f,%d,%.3f,%d,%d,%d,%d,%.1f,%d,%d,%d,%d,%d,%d\n",
 			e.Index, e.EndAccesses, e.EndClock,
-			d.Accesses, d.Writes, d.TLBMisses, e.MissRate(),
-			d.WalkRefs, e.AvgRefsPerWalk(),
+			d.Accesses, d.Writes, d.TLBMisses, d.MissRate(),
+			d.WalkRefs, d.RefsPerMiss(),
 			d.VMExitTotal(), d.TrapCycles,
-			e.PTUpdates(), d.PTUpdateTrapCycles, e.UpdateCost(),
+			d.PTUpdates(), d.PTUpdateTrapCycles, e.UpdateCost(),
 			d.GuestPageFaults, d.WriteProtFaults,
 			d.SwitchesToNested, d.SwitchesToShadow,
 			d.NestedNodes, d.ProtectedPages)
@@ -108,8 +108,8 @@ func (s *Series) Table() string {
 	for _, e := range s.Epochs {
 		d := e.Delta
 		fmt.Fprintf(w, "%d\t%d\t%.2f\t%.2f\t%d\t%d\t%.0f\t%d\t%d\t%d\t%d\n",
-			e.Index, d.Accesses, 100*e.MissRate(), e.AvgRefsPerWalk(),
-			d.VMExitTotal(), e.PTUpdates(), e.UpdateCost(),
+			e.Index, d.Accesses, 100*d.MissRate(), d.RefsPerMiss(),
+			d.VMExitTotal(), d.PTUpdates(), e.UpdateCost(),
 			d.SwitchesToNested, d.SwitchesToShadow,
 			d.NestedNodes, d.ProtectedPages)
 	}

@@ -22,11 +22,13 @@ package telemetry
 
 import "agilepaging/internal/vmm"
 
-// Counters is one flat snapshot of every counter telemetry tracks, taken
-// across all cores of a machine. Cumulative fields grow monotonically over
-// a run; gauge fields (the Nested*/Protected* block) are point-in-time
-// sizes of policy state. Keeping the struct flat and pointer-free means a
-// snapshot is one struct copy — no allocation, no aliasing.
+// Counters is one flat snapshot of every counter the simulator keeps,
+// taken across all cores of a machine. It is the one counter schema: epoch
+// telemetry diffs two snapshots, and the end-of-run report (cpu.Report)
+// embeds the final one. Cumulative fields grow monotonically over a run;
+// gauge fields (the Nested*/Protected* block) are point-in-time sizes of
+// policy state. Keeping the struct flat and pointer-free means a snapshot
+// is one struct copy — no allocation, no aliasing.
 type Counters struct {
 	Clock uint64 // simulated cycles
 
@@ -44,8 +46,11 @@ type Counters struct {
 	// (0 = full shadow, 4 = switch at the root; the paper's Table VI
 	// classes). RefsByNestedLevels splits the reference volume the same
 	// way, so an epoch's refs/walk can be decomposed by switch depth.
+	// WalkRefs counts every charged reference, faulting walks included;
+	// WalkerRefs counts the references of completed walks only.
 	Walks               uint64
 	WalkRefs            uint64
+	WalkerRefs          uint64
 	WalksByNestedLevels [5]uint64
 	RefsByNestedLevels  [5]uint64
 	FullNestedWalks     uint64
@@ -65,17 +70,21 @@ type Counters struct {
 	TrapCycles         uint64
 	PTUpdateTrapCycles uint64
 
-	// Faults and guest page-table churn.
+	// Faults, context switches and guest page-table churn.
 	GuestPageFaults uint64
 	WriteProtFaults uint64
+	CtxSwitches     uint64
 	MapsInstalled   uint64
 	Unmapped        uint64
 
-	// Cycle decomposition.
+	// Cycle decomposition (Table IV): E_ideal, and PW including the extra
+	// references of the hardware A/D optimization. The VMM term is
+	// TrapCycles.
 	IdealCycles uint64
 	WalkCycles  uint64
 
-	// Agile policy decisions.
+	// Mode-switch decisions of the agile policy, or of the SHSP baseline
+	// that replaces it.
 	SwitchesToNested uint64
 	SwitchesToShadow uint64
 	DirtyScans       uint64
@@ -103,6 +112,7 @@ func (c Counters) Diff(prev Counters) Counters {
 	d.TLBMisses -= prev.TLBMisses
 	d.Walks -= prev.Walks
 	d.WalkRefs -= prev.WalkRefs
+	d.WalkerRefs -= prev.WalkerRefs
 	for i := range d.WalksByNestedLevels {
 		d.WalksByNestedLevels[i] -= prev.WalksByNestedLevels[i]
 		d.RefsByNestedLevels[i] -= prev.RefsByNestedLevels[i]
@@ -120,6 +130,7 @@ func (c Counters) Diff(prev Counters) Counters {
 	d.PTUpdateTrapCycles -= prev.PTUpdateTrapCycles
 	d.GuestPageFaults -= prev.GuestPageFaults
 	d.WriteProtFaults -= prev.WriteProtFaults
+	d.CtxSwitches -= prev.CtxSwitches
 	d.MapsInstalled -= prev.MapsInstalled
 	d.Unmapped -= prev.Unmapped
 	d.IdealCycles -= prev.IdealCycles
@@ -139,6 +150,26 @@ func (c Counters) VMExitTotal() uint64 {
 	return n
 }
 
+// MissRate is the TLB miss rate (misses per access).
+func (c Counters) MissRate() float64 {
+	if c.Accesses == 0 {
+		return 0
+	}
+	return float64(c.TLBMisses) / float64(c.Accesses)
+}
+
+// RefsPerMiss is the mean page-walk references per TLB miss (paper Table
+// VI's final column).
+func (c Counters) RefsPerMiss() float64 {
+	if c.TLBMisses == 0 {
+		return 0
+	}
+	return float64(c.WalkRefs) / float64(c.TLBMisses)
+}
+
+// PTUpdates is the number of guest page-table updates.
+func (c Counters) PTUpdates() uint64 { return c.MapsInstalled + c.Unmapped }
+
 // Epoch is one sampling interval of the time series.
 type Epoch struct {
 	Index int
@@ -154,31 +185,12 @@ type Epoch struct {
 	Delta Counters
 }
 
-// MissRate is the epoch's TLB miss rate (misses per access).
-func (e Epoch) MissRate() float64 {
-	if e.Delta.Accesses == 0 {
-		return 0
-	}
-	return float64(e.Delta.TLBMisses) / float64(e.Delta.Accesses)
-}
-
-// AvgRefsPerWalk is the epoch's mean page-walk references per TLB miss.
-func (e Epoch) AvgRefsPerWalk() float64 {
-	if e.Delta.TLBMisses == 0 {
-		return 0
-	}
-	return float64(e.Delta.WalkRefs) / float64(e.Delta.TLBMisses)
-}
-
-// PTUpdates is the number of guest page-table updates in the epoch.
-func (e Epoch) PTUpdates() uint64 { return e.Delta.MapsInstalled + e.Delta.Unmapped }
-
 // UpdateCost is the epoch's VMM cycles per guest page-table update — the
 // Table I update-cost cell, resolved in time. Under agile paging it starts
 // in the VMM-mediated thousands and falls toward 0 as the write-threshold
 // policy moves churning subtrees to nested mode.
 func (e Epoch) UpdateCost() float64 {
-	u := e.PTUpdates()
+	u := e.Delta.PTUpdates()
 	if u == 0 {
 		return 0
 	}

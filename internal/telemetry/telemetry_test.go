@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +51,55 @@ func TestCountersDiff(t *testing.T) {
 	if d.NestedNodes != 6 || d.ProtectedPages != 3 {
 		t.Errorf("gauges = %d/%d, want end values 6/3", d.NestedNodes, d.ProtectedPages)
 	}
+
+	// Diff is written out by hand; this pass fills every field by
+	// reflection so a counter added to the struct but not to Diff fails
+	// here: every uint64 (scalar or array element) must subtract, every
+	// int gauge must keep its end value.
+	var before, after Counters
+	names, bs := fieldLeaves(reflect.ValueOf(&before).Elem())
+	_, as := fieldLeaves(reflect.ValueOf(&after).Elem())
+	for i := range bs {
+		switch bs[i].Kind() {
+		case reflect.Uint64:
+			bs[i].SetUint(uint64(i + 1))
+			as[i].SetUint(uint64(3*i + 10))
+		case reflect.Int:
+			bs[i].SetInt(int64(i + 1))
+			as[i].SetInt(int64(5*i + 5))
+		default:
+			t.Fatalf("Counters.%s is a %s; teach Diff and this test about it", names[i], bs[i].Kind())
+		}
+	}
+	diff := after.Diff(before)
+	_, ds := fieldLeaves(reflect.ValueOf(&diff).Elem())
+	for i, d := range ds {
+		switch d.Kind() {
+		case reflect.Uint64:
+			if want := as[i].Uint() - bs[i].Uint(); d.Uint() != want {
+				t.Errorf("Diff %s = %d, want %d", names[i], d.Uint(), want)
+			}
+		case reflect.Int:
+			if d.Int() != as[i].Int() {
+				t.Errorf("Diff gauge %s = %d, want end value %d", names[i], d.Int(), as[i].Int())
+			}
+		}
+	}
+}
+
+// fieldLeaves lists a struct's scalar fields, array elements one by one.
+func fieldLeaves(v reflect.Value) (names []string, leaves []reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		name, f := v.Type().Field(i).Name, v.Field(i)
+		if f.Kind() != reflect.Array {
+			names, leaves = append(names, name), append(leaves, f)
+			continue
+		}
+		for j := 0; j < f.Len(); j++ {
+			names, leaves = append(names, fmt.Sprintf("%s[%d]", name, j)), append(leaves, f.Index(j))
+		}
+	}
+	return names, leaves
 }
 
 func TestEpochDerivedRates(t *testing.T) {
@@ -56,20 +107,21 @@ func TestEpochDerivedRates(t *testing.T) {
 		Accesses: 1000, TLBMisses: 50, WalkRefs: 600,
 		MapsInstalled: 4, Unmapped: 1, PTUpdateTrapCycles: 17_250,
 	}}
-	if e.MissRate() != 0.05 {
-		t.Errorf("MissRate = %v", e.MissRate())
+	d := e.Delta
+	if d.MissRate() != 0.05 {
+		t.Errorf("MissRate = %v", d.MissRate())
 	}
-	if e.AvgRefsPerWalk() != 12 {
-		t.Errorf("AvgRefsPerWalk = %v", e.AvgRefsPerWalk())
+	if d.RefsPerMiss() != 12 {
+		t.Errorf("RefsPerMiss = %v", d.RefsPerMiss())
 	}
-	if e.PTUpdates() != 5 {
-		t.Errorf("PTUpdates = %d", e.PTUpdates())
+	if d.PTUpdates() != 5 {
+		t.Errorf("PTUpdates = %d", d.PTUpdates())
 	}
 	if e.UpdateCost() != 3450 {
 		t.Errorf("UpdateCost = %v", e.UpdateCost())
 	}
 	var empty Epoch
-	if empty.MissRate() != 0 || empty.AvgRefsPerWalk() != 0 || empty.UpdateCost() != 0 {
+	if empty.Delta.MissRate() != 0 || empty.Delta.RefsPerMiss() != 0 || empty.UpdateCost() != 0 {
 		t.Error("empty epoch rates must be zero")
 	}
 }

@@ -86,12 +86,10 @@ func (c Config) Scaled(factor int) Config {
 
 // Stats counts hierarchy events.
 type Stats struct {
-	Lookups  uint64
-	L1Hits   uint64
-	L2Hits   uint64
-	Misses   uint64
-	Flushes  uint64
-	Invalids uint64
+	Lookups uint64
+	L1Hits  uint64
+	L2Hits  uint64
+	Misses  uint64
 }
 
 // MissRatio returns Misses/Lookups.
@@ -318,7 +316,6 @@ func (h *Hierarchy) Fill(asid uint16, va uint64, size pagetable.Size, paBase uin
 // InvalidatePage drops translations covering va for asid in every array
 // (all page sizes, both L1 sides and L2), modeling INVLPG.
 func (h *Hierarchy) InvalidatePage(asid uint16, va uint64) {
-	h.stats.Invalids++
 	h.gen++
 	for _, p := range h.all {
 		if p.a.Len() != 0 {
@@ -330,7 +327,6 @@ func (h *Hierarchy) InvalidatePage(asid uint16, va uint64) {
 // FlushASID drops all non-global translations belonging to asid, modeling a
 // CR3 write with PGE enabled.
 func (h *Hierarchy) FlushASID(asid uint16) {
-	h.stats.Flushes++
 	h.gen++
 	for _, p := range h.all {
 		p.a.Flush(asid, false, true)
@@ -339,7 +335,6 @@ func (h *Hierarchy) FlushASID(asid uint16) {
 
 // FlushAll drops every translation including globals.
 func (h *Hierarchy) FlushAll() {
-	h.stats.Flushes++
 	h.gen++
 	for _, p := range h.all {
 		p.a.Flush(0, true, false)

@@ -444,7 +444,6 @@ func (ctx *Context) fillShadowLeaf(gva uint64, level int, guestSize pagetable.Si
 	if err := ctx.spt.SetEntryAt(effVA, effLevel, pagetable.MakeEntry(hpa, sflags)); err != nil {
 		return err
 	}
-	ctx.vm.stats.ShadowEntriesFilled++
 	key := effGPA &^ pagetable.Size4K.Mask()
 	ctx.rmap[key] = append(ctx.rmap[key], effVA)
 	return nil

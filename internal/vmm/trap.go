@@ -96,9 +96,8 @@ type Stats struct {
 	// hardware cache (paper §IV) without a VM exit.
 	CtxCacheHits uint64
 
-	// ShadowEntriesFilled and ShadowEntriesZapped size the shadow-table
-	// churn.
-	ShadowEntriesFilled uint64
+	// ShadowEntriesZapped sizes the shadow-table churn: shadow entries
+	// zapped, with their subtrees, to keep the shadow tables coherent.
 	ShadowEntriesZapped uint64
 
 	// PagesDeduped counts content-based sharing merges (paper §V).

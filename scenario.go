@@ -175,23 +175,5 @@ func (s *Scenario) Run(cfg ScenarioConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Workload:         "scenario",
-		Technique:        cfg.Technique,
-		PageSize:         cfg.PageSize,
-		WalkOverhead:     rep.WalkOverhead(),
-		VMMOverhead:      rep.VMMOverhead(),
-		TotalOverhead:    rep.TotalOverhead(),
-		Accesses:         rep.Machine.Accesses,
-		TLBMisses:        rep.Machine.TLBMisses,
-		WalkRefs:         rep.Machine.WalkRefs,
-		VMExits:          rep.VMM.TotalTraps(),
-		GuestFaults:      rep.Machine.GuestPageFaults,
-		AvgRefsPerMiss:   rep.AvgRefsPerMiss(),
-		RefsP50:          rep.RefsP50,
-		RefsP95:          rep.RefsP95,
-		MPKI:             rep.MPKI(),
-		SwitchesToNested: rep.Agile.SwitchesToNested,
-		SwitchesToShadow: rep.Agile.SwitchesToShadow,
-	}, nil
+	return newResult("scenario", cfg.Technique, cfg.PageSize, rep), nil
 }
