@@ -483,13 +483,7 @@ func RunAllWith(ctx context.Context, opts RunAllOptions, cfgs []Config) (results
 // (concurrently, one worker per CPU) and returns the results in
 // Techniques() order.
 func Compare(workloadName string, ps PageSize, accesses int, seed int64) ([]Result, error) {
-	return CompareContext(context.Background(), 0, workloadName, ps, accesses, seed)
-}
-
-// CompareContext is Compare with explicit cancellation and worker-count
-// control (workers <= 0 selects one worker per CPU).
-func CompareContext(ctx context.Context, workers int, workloadName string, ps PageSize, accesses int, seed int64) ([]Result, error) {
-	return RunAllContext(ctx, workers, compareConfigs(workloadName, ps, accesses, seed))
+	return RunAllContext(context.Background(), 0, compareConfigs(workloadName, ps, accesses, seed))
 }
 
 // CompareWith is Compare with an explicit execution policy; see RunAllWith

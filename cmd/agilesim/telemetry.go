@@ -54,7 +54,7 @@ func runWithTelemetry(stdout io.Writer, r telemetryRun) error {
 	var ring *telemetry.EventRing
 	if r.walkTrace != "" {
 		ring = telemetry.NewEventRing(0)
-		o.WalkEvents = ring
+		o.OnWalk = ring.Record
 	}
 
 	rep, err := experiments.RunProfile(r.workload, o)

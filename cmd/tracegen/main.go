@@ -149,7 +149,7 @@ func doMissLog(path, name, technique, ps string, accesses int, seed int64) error
 	o := experiments.DefaultOptions(mode, size)
 	o.Accesses = accesses
 	o.Seed = seed
-	o.MissLog = &log
+	o.OnWalk = log.Record
 	if _, err := experiments.RunProfile(name, o); err != nil {
 		return err
 	}

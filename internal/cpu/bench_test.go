@@ -126,7 +126,7 @@ func TestAccessHitZeroAllocs(t *testing.T) {
 		// increment and one compare (epoch assembly happens only at
 		// boundaries, kept out of the window like the policy tick).
 		m.SetTelemetry(telemetry.NewRecorder(1 << 30))
-		m.SetWalkEventRing(telemetry.NewEventRing(1024))
+		m.SetWalkObserver(telemetry.NewEventRing(1024).Record)
 		allocs = testing.AllocsPerRun(200, func() {
 			if err := m.Access(base|0x123, false); err != nil {
 				t.Fatal(err)

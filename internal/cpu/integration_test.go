@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/telemetry"
 	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
@@ -21,14 +22,14 @@ func TestTranslationOracle(t *testing.T) {
 				cfg := smallConfig(tech, ps)
 				m := newMachine(t, cfg)
 				checked := 0
-				m.SetMissObserver(func(va uint64, write, retry bool, res walker.Result) {
+				m.SetWalkObserver(func(ev telemetry.WalkEvent) {
 					cur := m.OS.Current()
 					if cur == nil {
 						return
 					}
-					gr, err := cur.PT.Lookup(va)
+					gr, err := cur.PT.Lookup(ev.VA)
 					if err != nil {
-						t.Fatalf("walk succeeded for va %#x the OS never mapped: %v", va, err)
+						t.Fatalf("walk succeeded for va %#x the OS never mapped: %v", ev.VA, err)
 					}
 					want := gr.PA
 					if m.VM != nil {
@@ -38,9 +39,9 @@ func TestTranslationOracle(t *testing.T) {
 						}
 						want = hpa
 					}
-					if res.HPA != want {
+					if ev.HPA != want {
 						t.Fatalf("%v/%v: walk(%#x) = hpa %#x, oracle %#x (nestedLevels=%d)",
-							tech, ps, va, res.HPA, want, res.NestedLevels)
+							tech, ps, ev.VA, ev.HPA, want, ev.NestedLevels)
 					}
 					checked++
 				})
@@ -203,21 +204,21 @@ func TestSMPOracleMultithreaded(t *testing.T) {
 	cfg.Cores = 4
 	m := newMachine(t, cfg)
 	checked := 0
-	m.SetMissObserver(func(va uint64, write, retry bool, res walker.Result) {
+	m.SetWalkObserver(func(ev telemetry.WalkEvent) {
 		cur := m.OS.Current()
 		if cur == nil {
 			return
 		}
-		gr, err := cur.PT.Lookup(va)
+		gr, err := cur.PT.Lookup(ev.VA)
 		if err != nil {
-			t.Fatalf("walk for unmapped va %#x", va)
+			t.Fatalf("walk for unmapped va %#x", ev.VA)
 		}
 		hpa, _, err := m.VM.TranslateGPA(gr.PA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.HPA != hpa {
-			t.Fatalf("walk(%#x) = %#x, oracle %#x", va, res.HPA, hpa)
+		if ev.HPA != hpa {
+			t.Fatalf("walk(%#x) = %#x, oracle %#x", ev.VA, ev.HPA, hpa)
 		}
 		checked++
 	})

@@ -244,14 +244,12 @@ type Machine struct {
 	clock     uint64
 	stats     Stats
 	refsHist  *stats.Hist // completed-walk memory references per TLB miss
-	missObs   func(va uint64, write, retry bool, res walker.Result)
 	accessObs func(va uint64, write bool, pa uint64, size pagetable.Size)
+	walkObs   func(telemetry.WalkEvent)
 
-	// Optional telemetry (nil when disabled; see internal/telemetry). tel
-	// costs one branch + one increment per access; walkEvents one array
-	// copy per completed walk. Neither allocates on the access path.
-	tel        *telemetry.Recorder
-	walkEvents *telemetry.EventRing
+	// Optional epoch telemetry (nil when disabled; see internal/telemetry):
+	// one branch + one increment per access, no allocation.
+	tel *telemetry.Recorder
 
 	// Policy-tick window for TLB-miss-overhead estimation.
 	sinceTickAccesses  uint64
@@ -368,10 +366,9 @@ func (m *Machine) Reset(cfg Config) error {
 	m.clock = 0
 	m.stats = Stats{}
 	m.refsHist.Reset()
-	m.missObs = nil
 	m.accessObs = nil
+	m.walkObs = nil
 	m.tel = nil
-	m.walkEvents = nil
 	m.sinceTickAccesses, m.sinceTickIdeal, m.sinceTickWalk = 0, 0, 0
 	m.lastTickTrapCycles = 0
 	m.lastTickFaults = 0
@@ -387,14 +384,12 @@ func (m *Machine) Stats() Stats { return m.stats }
 // Managers returns the agile managers by ASID (empty unless agile).
 func (m *Machine) Managers() map[uint16]*core.Manager { return m.managers }
 
-// SetMissObserver installs a callback invoked on every completed TLB-miss
-// walk — the analog of the paper's BadgerTrap instrumentation (§VI step 2).
-// write is the access's store bit; retry reports that the same logical
-// access already produced a record (a store re-walks after its
-// write-protection upgrade).
-func (m *Machine) SetMissObserver(fn func(va uint64, write, retry bool, res walker.Result)) {
-	m.missObs = fn
-}
+// SetWalkObserver installs a callback invoked on every completed TLB-miss
+// walk (nil detaches) — the analog of the paper's BadgerTrap
+// instrumentation (§VI step 2). The TLB-miss log (trace.MissLog.Record) and
+// the bounded event ring (telemetry.EventRing.Record) are both walk
+// observers.
+func (m *Machine) SetWalkObserver(fn func(telemetry.WalkEvent)) { m.walkObs = fn }
 
 // SetAccessObserver installs a callback invoked once per successful data or
 // fetch access with the final translated host-physical address. Every
@@ -719,11 +714,11 @@ func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, 
 		return nil
 	}
 
-	// logged tracks whether this logical access already produced a miss
-	// record: a store that walks, hits a read-only entry, and re-walks
-	// after the write-protection upgrade logs again, and that second
-	// record is marked as a retry rather than silently duplicated.
-	logged := false
+	// retry tracks whether this logical access already completed a walk: a
+	// store that walks, hits a read-only entry, and re-walks after the
+	// write-protection upgrade reports again, and that second event is
+	// marked as a retry rather than silently duplicated.
+	retry := false
 	for attempt := 0; attempt < 32; attempt++ {
 		if r, ok := c.tlbs.Lookup(c.regs.ASID, va, fetch); ok {
 			if write && !r.Flags.Writable() {
@@ -740,23 +735,22 @@ func (m *Machine) translate(c *coreState, cur *guest.Process, va uint64, write, 
 		if fault == nil {
 			cycles := m.chargeWalk(res.Refs, res.HostRefs)
 			m.refsHist.Add(res.Refs)
-			if m.missObs != nil {
-				m.missObs(va, write, logged, res)
-			}
-			logged = true
-			if m.walkEvents != nil {
-				m.walkEvents.Record(telemetry.WalkEvent{
+			if m.walkObs != nil {
+				m.walkObs(telemetry.WalkEvent{
 					Clock:        m.clock,
 					Core:         c.idx,
 					VA:           va,
+					HPA:          res.HPA,
 					Refs:         res.Refs,
 					HostRefs:     res.HostRefs,
 					NestedLevels: res.NestedLevels,
 					FullNested:   res.GptrTranslated,
 					Write:        write,
+					Retry:        retry,
 					Cycles:       cycles,
 				})
 			}
+			retry = true
 			paBase := res.HPA &^ res.Size.Mask()
 			if write && !res.Flags.Writable() {
 				c.tlbs.Insert(c.regs.ASID, va, res.Size, paBase, res.Flags, fetch)

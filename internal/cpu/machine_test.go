@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/telemetry"
 	"agilepaging/internal/trace"
 	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
@@ -284,7 +285,7 @@ func TestReclaimUnderShadowTrapsButNotNested(t *testing.T) {
 		}
 		ops = append(ops, workload.Op{Kind: workload.OpReclaim, PID: 0, N: 32})
 		mustRun(t, m, ops)
-		traps[tech] = m.VM.Stats().TotalTraps()
+		traps[tech] = m.Counters().VMExitTotal()
 	}
 	if traps[walker.ModeNested] != 0 {
 		t.Errorf("nested reclaim trapped %d times", traps[walker.ModeNested])
@@ -434,8 +435,8 @@ func TestWriteProtectRetryMarksSecondRecord(t *testing.T) {
 		write, retry bool
 	}
 	var recs []rec
-	m.SetMissObserver(func(va uint64, write, retry bool, res walker.Result) {
-		recs = append(recs, rec{va, write, retry})
+	m.SetWalkObserver(func(ev telemetry.WalkEvent) {
+		recs = append(recs, rec{ev.VA, ev.Write, ev.Retry})
 	})
 	// One store to the COW page: cold walk finds the read-only entry, the
 	// COW break upgrades it, and the re-walk logs the retry record.

@@ -17,11 +17,6 @@ func (m *Machine) SetTelemetry(rec *telemetry.Recorder) {
 	}
 }
 
-// SetWalkEventRing attaches a bounded per-walk event ring (nil detaches).
-// Recording is one array-slot copy per completed walk; the ring never
-// grows.
-func (m *Machine) SetWalkEventRing(ring *telemetry.EventRing) { m.walkEvents = ring }
-
 // FlushTelemetry closes the partial epoch in progress, if any. Runs call
 // it once after the op stream ends so the series covers the full tail.
 func (m *Machine) FlushTelemetry() {

@@ -32,7 +32,9 @@ func AdaptationCurve(epochLen, epochs int, ring *telemetry.EventRing) (*telemetr
 	o := DefaultOptions(walker.ModeAgile, 0)
 	o.AgileStartNested = false
 	o.Metrics = rec
-	o.WalkEvents = ring
+	if ring != nil {
+		o.OnWalk = ring.Record
+	}
 	// Churn every quarter epoch so every epoch contains page-table updates
 	// to price; 16 churned pages matches the Table I microbenchmark.
 	const churnPages = 16

@@ -8,6 +8,7 @@ import (
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/sweep"
 	"agilepaging/internal/walker"
+	"agilepaging/internal/workload"
 )
 
 func TestTableIIExactRefCounts(t *testing.T) {
@@ -414,5 +415,23 @@ func TestSensitivityAgileRobust(t *testing.T) {
 	}
 	if out := FormatSensitivity(rows); !strings.Contains(out, "agile wins") {
 		t.Error("FormatSensitivity output incomplete")
+	}
+}
+
+// TestSplitAfterAccesses pins the warmup/measure split runStream applies
+// to each chunk: ops[:idx] holds exactly n accesses and ends with the n-th
+// one, and a chunk with fewer than n accesses reports how many it saw.
+func TestSplitAfterAccesses(t *testing.T) {
+	ops := []workload.Op{
+		{Kind: workload.OpMmap}, {Kind: workload.OpAccess}, {Kind: workload.OpMunmap},
+		{Kind: workload.OpAccess}, {Kind: workload.OpCtxSwitch},
+	}
+	for _, c := range []struct{ n, idx, seen int }{{1, 2, 1}, {2, 4, 2}, {3, 5, 2}} {
+		if idx, seen := splitAfterAccesses(ops, c.n); idx != c.idx || seen != c.seen {
+			t.Errorf("splitAfterAccesses(n=%d) = %d, %d; want %d, %d", c.n, idx, seen, c.idx, c.seen)
+		}
+	}
+	if idx, seen := splitAfterAccesses(nil, 1); idx != 0 || seen != 0 {
+		t.Errorf("empty chunk = %d, %d; want 0, 0", idx, seen)
 	}
 }

@@ -184,48 +184,40 @@ type ModelValidation struct {
 	ProjectedVMMOv  float64
 }
 
-// validateRun is one ValidateModelSweep measurement plus the logs it
-// collected.
+// validateRun is one ValidateModelSweep measurement plus the miss log it
+// collected (agile only).
 type validateRun struct {
-	rep   cpu.Report
-	miss  trace.MissLog
-	traps trace.TrapLog
+	rep  cpu.Report
+	miss trace.MissLog
 }
 
 // ValidateModelSweep runs the paper's methodology end to end for one
-// workload at 4K: measure native/nested/shadow, collect the agile run's
-// miss and trap logs (the BadgerTrap and trace-cmd analogs), project agile
-// performance with the Table IV model, and report it against direct
-// simulation. The four constituent measurements are independent and run
-// as one sweep.
+// workload at 4K: measure native/nested/shadow, take the VM exits by cause
+// from the shadow and agile reports (the trace-cmd step) and the agile
+// run's miss log (the BadgerTrap step), project agile performance with the
+// Table IV model, and report it against direct simulation. The four
+// constituent measurements are independent and run as one sweep.
 func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, accesses int, seed int64) (ModelValidation, error) {
-	type spec struct {
-		opts        Options
-		miss, traps bool
-	}
 	mk := func(tech walker.Mode) Options {
 		o := DefaultOptions(tech, pagetable.Size4K)
 		o.Accesses = accesses
 		o.Seed = seed
 		return o
 	}
-	// The native and nested measurements are plain cells served by the
-	// report cache; the shadow and agile jobs attach logs at run time,
-	// which makes them instrumented — they always simulate for real.
-	jobs := []sweep.Job[spec]{
-		{Key: name + "/native", Workload: name, Options: spec{opts: mk(walker.ModeNative)}},
-		{Key: name + "/nested", Workload: name, Options: spec{opts: mk(walker.ModeNested)}},
-		{Key: name + "/shadow", Workload: name, Options: spec{opts: mk(walker.ModeShadow), traps: true}},
-		{Key: name + "/agile", Workload: name, Options: spec{opts: mk(walker.ModeAgile), miss: true, traps: true}},
+	// Native, nested and shadow are plain cells served by the report
+	// cache; the agile job attaches a miss log at run time, which makes it
+	// instrumented — it always simulates for real.
+	jobs := []sweep.Job[Options]{
+		{Key: name + "/native", Workload: name, Options: mk(walker.ModeNative)},
+		{Key: name + "/nested", Workload: name, Options: mk(walker.ModeNested)},
+		{Key: name + "/shadow", Workload: name, Options: mk(walker.ModeShadow)},
+		{Key: name + "/agile", Workload: name, Options: mk(walker.ModeAgile)},
 	}
-	runs, err := sweep.Run(ctx, cfg, jobs, func(_ context.Context, j sweep.Job[spec]) (validateRun, error) {
+	runs, err := sweep.Run(ctx, cfg, jobs, func(_ context.Context, j sweep.Job[Options]) (validateRun, error) {
 		var out validateRun
-		o := j.Options.opts
-		if j.Options.miss {
-			o.MissLog = &out.miss
-		}
-		if j.Options.traps {
-			o.TrapLog = &out.traps
+		o := j.Options
+		if o.Technique == walker.ModeAgile {
+			o.OnWalk = out.miss.Record
 		}
 		rep, err := RunProfile(j.Workload, o)
 		if err != nil {
@@ -238,8 +230,7 @@ func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, acce
 		return ModelValidation{}, err
 	}
 	nativeRep, nestedRep, shadowRep, agileRep := runs[0].rep, runs[1].rep, runs[2].rep, runs[3].rep
-	shadowTraps := runs[2].traps
-	agileMiss, agileTraps := runs[3].miss, runs[3].traps
+	agileMiss := runs[3].miss
 
 	ideal := nativeRep.IdealCycles
 	toMeasured := func(r cpu.Report) perfmodel.Measured {
@@ -250,7 +241,7 @@ func ValidateModelSweep(ctx context.Context, cfg sweep.Config, name string, acce
 			HypervisorCycles: r.TrapCycles,
 		}
 	}
-	avoided := trace.AvoidedCycles(&shadowTraps, &agileTraps, vmm.DefaultCostModel())
+	avoided := trace.AvoidedCycles(shadowRep.VMExits, agileRep.VMExits, vmm.DefaultCostModel())
 	proj, err := perfmodel.ProjectAgile(
 		toMeasured(nestedRep), toMeasured(shadowRep), ideal,
 		agileMiss.Summary().NestedFractions(),

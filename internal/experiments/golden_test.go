@@ -12,6 +12,7 @@ import (
 
 	"agilepaging/internal/sweep"
 	"agilepaging/internal/walker"
+	"agilepaging/internal/workload"
 )
 
 // The golden-equivalence test pins the simulator's observable outputs —
@@ -214,5 +215,102 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.TableVI, want.TableVI) {
 		t.Errorf("TableVI diverged:\n got  %+v\n want %+v", got.TableVI, want.TableVI)
+	}
+}
+
+// goldenInstrumentedFile pins Table I and the Table IV model validation,
+// which the Figure 5 / Table II / Table VI golden above does not cover.
+const goldenInstrumentedFile = "testdata/golden_tablei_validate.json"
+
+// goldenTableIRow records one Table I column, floats as Float64bits.
+type goldenTableIRow struct {
+	Technique        string
+	TLBHit           string
+	MaxRefs          int
+	AvgRefsBits      uint64
+	UpdateCyclesBits uint64
+	UpdateMode       string
+	Hardware         string
+}
+
+// goldenValidationRow records one workload's model validation as
+// Float64bits.
+type goldenValidationRow struct {
+	Workload            string
+	DirectWalkOvBits    uint64
+	DirectVMMOvBits     uint64
+	ProjectedWalkOvBits uint64
+	ProjectedVMMOvBits  uint64
+}
+
+type goldenInstrumentedData struct {
+	Accesses   int
+	Seed       int64
+	TableI     []goldenTableIRow
+	Validation []goldenValidationRow
+}
+
+// TestGoldenTableIAndValidation pins Table I and ValidateModelSweep for
+// every workload bit for bit. Run with -update only when a change
+// intentionally moves simulated behaviour.
+func TestGoldenTableIAndValidation(t *testing.T) {
+	got := goldenInstrumentedData{Accesses: goldenAccesses, Seed: goldenSeed}
+	t1, err := TableISweep(context.Background(), sweep.Config{})
+	if err != nil {
+		t.Fatalf("TableI: %v", err)
+	}
+	for _, r := range t1 {
+		got.TableI = append(got.TableI, goldenTableIRow{
+			Technique:        r.Technique.String(),
+			TLBHit:           r.TLBHit,
+			MaxRefs:          r.MaxRefs,
+			AvgRefsBits:      math.Float64bits(r.AvgRefs),
+			UpdateCyclesBits: math.Float64bits(r.UpdateCycles),
+			UpdateMode:       r.UpdateMode,
+			Hardware:         r.Hardware,
+		})
+	}
+	for _, name := range workload.Names() {
+		v, err := ValidateModelSweep(context.Background(), sweep.Config{}, name, goldenAccesses, goldenSeed)
+		if err != nil {
+			t.Fatalf("ValidateModel %s: %v", name, err)
+		}
+		got.Validation = append(got.Validation, goldenValidationRow{
+			Workload:            v.Workload,
+			DirectWalkOvBits:    math.Float64bits(v.DirectWalkOv),
+			DirectVMMOvBits:     math.Float64bits(v.DirectVMMOv),
+			ProjectedWalkOvBits: math.Float64bits(v.ProjectedWalkOv),
+			ProjectedVMMOvBits:  math.Float64bits(v.ProjectedVMMOv),
+		})
+	}
+
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenInstrumentedFile, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", goldenInstrumentedFile)
+		return
+	}
+	buf, err := os.ReadFile(goldenInstrumentedFile)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create): %v", err)
+	}
+	var want goldenInstrumentedData
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("parsing %s: %v", goldenInstrumentedFile, err)
+	}
+	if !reflect.DeepEqual(got.TableI, want.TableI) {
+		t.Errorf("TableI diverged:\n got  %+v\n want %+v", got.TableI, want.TableI)
+	}
+	if !reflect.DeepEqual(got.Validation, want.Validation) {
+		t.Errorf("Validation diverged:\n got  %+v\n want %+v", got.Validation, want.Validation)
+	}
+	if got.Accesses != want.Accesses || got.Seed != want.Seed {
+		t.Errorf("golden parameters changed: got %d/%d, want %d/%d",
+			got.Accesses, got.Seed, want.Accesses, want.Seed)
 	}
 }

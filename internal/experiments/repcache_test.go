@@ -89,7 +89,7 @@ func TestInstrumentedRunsBypassCache(t *testing.T) {
 		t.Fatal("plain options should be cacheable")
 	}
 	withMiss := o
-	withMiss.MissLog = &trace.MissLog{}
+	withMiss.OnWalk = new(trace.MissLog).Record
 	if _, ok := CellKey("dedup", withMiss); ok {
 		t.Fatal("CellKey accepted an instrumented cell")
 	}
@@ -100,7 +100,7 @@ func TestInstrumentedRunsBypassCache(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		var log trace.MissLog
 		run := o
-		run.MissLog = &log
+		run.OnWalk = log.Record
 		if _, err := RunProfile("dedup", run); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestInstrumentedRunsBypassCache(t *testing.T) {
 	}
 	var log trace.MissLog
 	run := o
-	run.MissLog = &log
+	run.OnWalk = log.Record
 	if _, err := RunProfile("dedup", run); err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +184,25 @@ func TestCrossExperimentCellSharing(t *testing.T) {
 	// already simulated by Figure 5.
 	if got := hitsAfter - hitsBefore; got < 3 {
 		t.Fatalf("sensitivity reused %d Figure 5 cells, want >= 3", got)
+	}
+}
+
+// TestValidateModelReusesFigure5Cells: the model validation reads VM exits
+// from its shadow and agile reports, so only the agile job (which attaches
+// a miss log) is instrumented. Its native, nested and shadow cells are the
+// ones Figure 5 already simulated at 4K.
+func TestValidateModelReusesFigure5Cells(t *testing.T) {
+	repcache.Reset()
+	const accesses, seed = 1500, 42
+	if _, err := Figure5Sweep(context.Background(), sweep.Config{}, []string{"dedup"}, accesses, seed); err != nil {
+		t.Fatal(err)
+	}
+	hitsBefore, _, _ := repcache.Stats()
+	if _, err := ValidateModelSweep(context.Background(), sweep.Config{}, "dedup", accesses, seed); err != nil {
+		t.Fatal(err)
+	}
+	hitsAfter, _, _ := repcache.Stats()
+	if got := hitsAfter - hitsBefore; got < 3 {
+		t.Fatalf("model validation reused %d Figure 5 cells, want >= 3", got)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/repcache"
 	"agilepaging/internal/telemetry"
-	"agilepaging/internal/trace"
 	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
@@ -53,17 +52,14 @@ type Options struct {
 	// series shows the mediated⇒direct transition.
 	AgileWriteThreshold int
 
-	// Optional instrumentation.
-	MissLog *trace.MissLog
-	TrapLog *trace.TrapLog
-
-	// Metrics attaches an epoch-based telemetry recorder; like the logs it
-	// attaches at the start of the measured window (after warmup) and its
-	// final partial epoch is flushed when the run ends. WalkEvents attaches
-	// a bounded per-walk event ring for Chrome-trace export. Neither
-	// perturbs simulated results (see TestTelemetryPurity).
-	Metrics    *telemetry.Recorder
-	WalkEvents *telemetry.EventRing
+	// Optional instrumentation. Both attach at the start of the measured
+	// window (after warmup). OnWalk observes every completed TLB-miss walk
+	// (set it to a trace.MissLog's or a telemetry.EventRing's Record).
+	// Metrics attaches an epoch-based telemetry recorder whose final
+	// partial epoch is flushed when the run ends. Neither perturbs
+	// simulated results (see TestTelemetryPurity).
+	OnWalk  func(telemetry.WalkEvent)
+	Metrics *telemetry.Recorder
 }
 
 // DefaultOptions returns the baseline run options for a technique and page
@@ -117,12 +113,12 @@ func machineConfig(o Options) cpu.Config {
 	return cfg
 }
 
-// instrumented reports whether o attaches an observer (miss/trap log,
-// telemetry recorder, walk-event ring). Instrumented runs must simulate for
-// real every time — their value is the observer's side effects, which a
-// cached report cannot replay — so they bypass the report cache entirely.
+// instrumented reports whether o attaches an observer (walk observer or
+// telemetry recorder). Instrumented runs must simulate for real every time
+// — their value is the observer's side effects, which a cached report
+// cannot replay — so they bypass the report cache entirely.
 func instrumented(o Options) bool {
-	return o.MissLog != nil || o.TrapLog != nil || o.Metrics != nil || o.WalkEvents != nil
+	return o.OnWalk != nil || o.Metrics != nil
 }
 
 // cellKey derives the canonical report-cache key for one simulation cell:
@@ -139,8 +135,8 @@ func cellKey(prof workload.Profile, cfg cpu.Config, o Options) string {
 
 // CellKey returns the canonical content key of the simulation cell
 // (workload, o) — the key RunProfile memoizes its report under — and
-// whether the cell is memoizable at all. Instrumented cells (attached
-// logs, telemetry) and unknown workloads report false: they never enter
+// whether the cell is memoizable at all. Instrumented cells (walk observer,
+// telemetry) and unknown workloads report false: they never enter
 // the cache. The facade uses it as its sweep job-key suffix.
 func CellKey(name string, o Options) (string, bool) {
 	if instrumented(o) {
@@ -212,9 +208,8 @@ func runCell(prof workload.Profile, cfg cpu.Config, o Options) (cpu.Report, erro
 // one reusable buffer, and — because SharedStream publishes chunks as the
 // generator produces them — the head of a cold stream executes while its
 // tail is still generating. The warmup/measure split lands exactly after
-// the warm-th OpAccess, wherever in a chunk that falls, matching the
-// whole-slice AccessBoundary split this replaces (pinned by the golden
-// test).
+// the warm-th OpAccess, wherever in a chunk that falls (pinned by the
+// golden test).
 func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, error) {
 	warm := warmupCount(o)
 	stream := workload.SharedStream(prof, o.PageSize, warm+o.Accesses, o.Seed)
@@ -224,7 +219,7 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 		return cpu.Report{}, fmt.Errorf("experiments: %s/%v/%v: %w", prof.Name, o.Technique, o.PageSize, err)
 	}
 	if warm <= 0 {
-		attachLogs(m, o)
+		attachObservers(m, o)
 	}
 	base, pending := 0, warm
 	for pending > 0 {
@@ -247,10 +242,10 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 			return fail(err)
 		}
 		pending = 0
-		// End of warmup: measure steady state only. Logs attach here so
-		// traces cover the measured window.
+		// End of warmup: measure steady state only. Observers attach here
+		// so traces cover the measured window.
 		m.ResetMeasurement()
-		attachLogs(m, o)
+		attachObservers(m, o)
 		if err := m.RunOps(ops[idx:], base+idx); err != nil {
 			return fail(err)
 		}
@@ -258,7 +253,7 @@ func runStream(m *cpu.Machine, prof workload.Profile, o Options) (cpu.Report, er
 	}
 	if pending > 0 {
 		m.ResetMeasurement()
-		attachLogs(m, o)
+		attachObservers(m, o)
 	}
 	if err := m.RunChunks(r.Next, base); err != nil {
 		return fail(err)
@@ -288,7 +283,7 @@ func RunOps(name string, ops []workload.Op, o Options) (cpu.Report, *cpu.Machine
 	if err != nil {
 		return cpu.Report{}, nil, err
 	}
-	attachLogs(m, o)
+	attachObservers(m, o)
 	if err := m.RunOps(ops, 0); err != nil {
 		return cpu.Report{}, nil, err
 	}
@@ -296,19 +291,9 @@ func RunOps(name string, ops []workload.Op, o Options) (cpu.Report, *cpu.Machine
 	return m.Report(name), m, nil
 }
 
-func attachLogs(m *cpu.Machine, o Options) {
-	if o.MissLog != nil {
-		m.SetMissObserver(o.MissLog.Observer())
-	}
-	if o.TrapLog != nil && m.VM != nil {
-		m.VM.SetTrapObserver(o.TrapLog.Observer())
-	}
-	if o.Metrics != nil {
-		m.SetTelemetry(o.Metrics)
-	}
-	if o.WalkEvents != nil {
-		m.SetWalkEventRing(o.WalkEvents)
-	}
+func attachObservers(m *cpu.Machine, o Options) {
+	m.SetWalkObserver(o.OnWalk)
+	m.SetTelemetry(o.Metrics)
 }
 
 // Techniques lists the four configurations of Figure 5 in paper order.

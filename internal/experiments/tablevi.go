@@ -5,6 +5,7 @@ import (
 
 	"agilepaging/internal/pagetable"
 	"agilepaging/internal/sweep"
+	"agilepaging/internal/telemetry"
 	"agilepaging/internal/trace"
 	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
@@ -17,7 +18,7 @@ type TableVIRow struct {
 	Workload string
 	// Fractions[0] = full shadow, [1..4] = switch at L4..L1 (1..4 trailing
 	// nested levels), [5] = fully nested.
-	Fractions [6]float64
+	Fractions [telemetry.NumWalkClasses]float64
 	AvgRefs   float64
 }
 
@@ -44,13 +45,13 @@ func TableVISweep(ctx context.Context, cfg sweep.Config, workloads []string, acc
 		// share an observer.
 		var miss trace.MissLog
 		o := j.Options
-		o.MissLog = &miss
+		o.OnWalk = miss.Record
 		if _, err := RunProfile(j.Workload, o); err != nil {
 			return TableVIRow{}, err
 		}
 		s := miss.Summary()
 		row := TableVIRow{Workload: j.Workload, AvgRefs: s.AvgRefs()}
-		for c := 0; c < 6; c++ {
+		for c := range row.Fractions {
 			row.Fractions[c] = s.Fraction(c)
 		}
 		return row, nil

@@ -34,7 +34,7 @@ func TestTelemetryPurity(t *testing.T) {
 
 			instrumented := base
 			instrumented.Metrics = telemetry.NewRecorder(2_000)
-			instrumented.WalkEvents = telemetry.NewEventRing(256)
+			instrumented.OnWalk = telemetry.NewEventRing(256).Record
 			withTel, rec := run(instrumented)
 
 			if !reflect.DeepEqual(plain, withTel) {
@@ -182,7 +182,7 @@ func TestMissLogWriteBitsSurviveRoundTrip(t *testing.T) {
 	var miss trace.MissLog
 	o := DefaultOptions(walker.ModeShadow, pagetable.Size4K)
 	o.AgileStartNested = false
-	o.MissLog = &miss
+	o.OnWalk = miss.Record
 	// readThenWriteOps stores to every page after reading it, so write
 	// misses (and shadow write-protect retries) are guaranteed.
 	if _, _, err := RunOps("write-heavy", readThenWriteOps(64), o); err != nil {

@@ -2,36 +2,54 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// WalkEvent is one completed hardware page walk — the per-event record the
-// bounded ring keeps for flamegraph-style inspection of where walk cycles
-// go. The struct is flat so recording is a single array-slot copy.
+// WalkEvent is one completed hardware page walk, as the machine's walk
+// observer sees it: the bounded ring keeps the last few for
+// flamegraph-style inspection of where walk cycles go, and the TLB-miss
+// log (the paper's BadgerTrap step) keeps a compact record of each. The
+// struct is flat so recording is a single array-slot copy.
 type WalkEvent struct {
-	Seq          uint64 // 0-based index in the run's walk order
+	Seq          uint64 // 0-based index in the run's walk order (set by EventRing)
 	Clock        uint64 // simulated cycle at walk completion
 	Core         int
 	VA           uint64
+	HPA          uint64 // host-physical address the walk translated VA to
 	Refs         int
 	HostRefs     int
 	NestedLevels int  // trailing guest levels handled nested (0..4)
 	FullNested   bool // walk also translated gptr (fully nested)
 	Write        bool
-	Cycles       uint64 // cycles charged for the walk's references
+	// Retry marks a re-walk of the same logical access: a store that
+	// missed and then hit a read-only entry re-walks after the
+	// write-protection upgrade, so one access can produce two events.
+	Retry  bool
+	Cycles uint64 // cycles charged for the walk's references
 }
 
-// class names the walk's Table VI class for trace categorization.
-func (e WalkEvent) class() string {
+// NumWalkClasses is the number of Table VI walk classes.
+const NumWalkClasses = 6
+
+// WalkClass returns a walk's Table VI class: 0 = full shadow, 1..4 = a
+// switch with that many trailing nested levels (the paper's L4..L1
+// columns), 5 = full nested.
+func WalkClass(nestedLevels int, fullNested bool) int {
 	switch {
-	case e.FullNested:
-		return "full-nested"
-	case e.NestedLevels == 0:
-		return "full-shadow"
+	case fullNested:
+		return 5
+	case nestedLevels <= 0:
+		return 0
+	case nestedLevels > 4:
+		return 4
 	default:
-		return fmt.Sprintf("switch-L%d", 5-e.NestedLevels)
+		return nestedLevels
 	}
+}
+
+// walkClassNames are the Chrome-trace categories of the WalkClass classes.
+var walkClassNames = [NumWalkClasses]string{
+	"full-shadow", "switch-L4", "switch-L3", "switch-L2", "switch-L1", "full-nested",
 }
 
 // EventRing is a bounded ring buffer of walk events. The buffer is
@@ -108,7 +126,7 @@ func (r *EventRing) WriteChromeTrace(w io.Writer) error {
 		}
 		out = append(out, chromeEvent{
 			Name: "walk",
-			Cat:  ev.class(),
+			Cat:  walkClassNames[WalkClass(ev.NestedLevels, ev.FullNested)],
 			Ph:   "X",
 			Ts:   start,
 			Dur:  ev.Cycles,

@@ -43,9 +43,11 @@ type Counters struct {
 	TLBMisses  uint64
 
 	// Hardware walks, split by how many trailing guest levels ran nested
-	// (0 = full shadow, 4 = switch at the root; the paper's Table VI
-	// classes). RefsByNestedLevels splits the reference volume the same
-	// way, so an epoch's refs/walk can be decomposed by switch depth.
+	// (0 = full shadow, 4 = switch at the root). A full-nested walk counts
+	// under its depth here as well as in FullNestedWalks, so this split is
+	// not the paper's Table VI classes (those come from trace.MissLog).
+	// RefsByNestedLevels splits the reference volume the same way, so an
+	// epoch's refs/walk can be decomposed by switch depth.
 	// WalkRefs counts every charged reference, faulting walks included;
 	// WalkerRefs counts the references of completed walks only.
 	Walks               uint64

@@ -282,17 +282,23 @@ func TestEventRingDefaultCap(t *testing.T) {
 
 func TestWalkEventClass(t *testing.T) {
 	cases := []struct {
-		ev   WalkEvent
-		want string
+		ev        WalkEvent
+		wantClass int
+		want      string
 	}{
-		{WalkEvent{FullNested: true, NestedLevels: 4}, "full-nested"},
-		{WalkEvent{NestedLevels: 0}, "full-shadow"},
-		{WalkEvent{NestedLevels: 4}, "switch-L1"},
-		{WalkEvent{NestedLevels: 1}, "switch-L4"},
+		{WalkEvent{FullNested: true, NestedLevels: 4}, 5, "full-nested"},
+		{WalkEvent{FullNested: true, NestedLevels: 3}, 5, "full-nested"},
+		{WalkEvent{NestedLevels: 0}, 0, "full-shadow"},
+		{WalkEvent{NestedLevels: 4}, 4, "switch-L1"},
+		{WalkEvent{NestedLevels: 3}, 3, "switch-L2"},
+		{WalkEvent{NestedLevels: 2}, 2, "switch-L3"},
+		{WalkEvent{NestedLevels: 1}, 1, "switch-L4"},
 	}
 	for _, c := range cases {
-		if got := c.ev.class(); got != c.want {
-			t.Errorf("class(%+v) = %q, want %q", c.ev, got, c.want)
+		class := WalkClass(c.ev.NestedLevels, c.ev.FullNested)
+		if class != c.wantClass || walkClassNames[class] != c.want {
+			t.Errorf("WalkClass(%+v) = %d (%q), want %d (%q)",
+				c.ev, class, walkClassNames[class], c.wantClass, c.want)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"io"
 
 	"agilepaging/internal/perfmodel"
-	"agilepaging/internal/walker"
+	"agilepaging/internal/telemetry"
 )
 
 // MissRecord is one TLB miss as BadgerTrap would observe it: the faulting
@@ -31,28 +31,24 @@ type MissLog struct {
 	Records []MissRecord
 }
 
-// Observer returns a cpu.Machine miss-observer that appends to the log.
-// write is the access's store bit; retry marks a repeated walk of the same
-// logical access (see MissRecord.Retry).
-func (l *MissLog) Observer() func(va uint64, write, retry bool, res walker.Result) {
-	return func(va uint64, write, retry bool, res walker.Result) {
-		l.Records = append(l.Records, MissRecord{
-			VA:             va,
-			Refs:           uint16(res.Refs),
-			NestedLevels:   uint8(res.NestedLevels),
-			GptrTranslated: res.GptrTranslated,
-			Write:          write,
-			Retry:          retry,
-		})
-	}
+// Record appends one completed walk to the log; l.Record is a walk
+// observer for cpu.Machine.SetWalkObserver.
+func (l *MissLog) Record(ev telemetry.WalkEvent) {
+	l.Records = append(l.Records, MissRecord{
+		VA:             ev.VA,
+		Refs:           uint16(ev.Refs),
+		NestedLevels:   uint8(ev.NestedLevels),
+		GptrTranslated: ev.FullNested,
+		Write:          ev.Write,
+		Retry:          ev.Retry,
+	})
 }
 
 // MissSummary is the classification the paper's Table VI reports.
 type MissSummary struct {
 	Total uint64
-	// ByClass[0] = full shadow, [1..4] = switch with d trailing nested
-	// levels (the paper's L4..L1 columns), [5] = full nested.
-	ByClass [6]uint64
+	// ByClass is indexed by telemetry.WalkClass.
+	ByClass [telemetry.NumWalkClasses]uint64
 	SumRefs uint64
 	// Writes and Retries count the records carrying those flags; they ride
 	// alongside the Table VI classes (which count every walk, retries
@@ -122,18 +118,7 @@ func (l *MissLog) Summary() MissSummary {
 		if r.Retry {
 			s.Retries++
 		}
-		switch {
-		case r.GptrTranslated:
-			s.ByClass[5]++
-		case r.NestedLevels == 0:
-			s.ByClass[0]++
-		default:
-			d := int(r.NestedLevels)
-			if d > 4 {
-				d = 4
-			}
-			s.ByClass[d]++
-		}
+		s.ByClass[telemetry.WalkClass(int(r.NestedLevels), r.GptrTranslated)]++
 	}
 	return s
 }

@@ -1,9 +1,10 @@
-// Package trace records and replays the two artifact streams of the
-// paper's evaluation methodology (§VI):
+// Package trace holds the two inputs of the paper's evaluation
+// methodology (§VI):
 //
-//   - Step 1 (trace-cmd + instrumented KVM): a log of VMM interventions by
-//     type, from which the fraction of traps agile paging eliminates (F_Vi)
-//     is derived.
+//   - Step 1 (trace-cmd + instrumented KVM): VMM interventions by type.
+//     The run report already counts them (VMExits), and AvoidedCycles
+//     turns a shadow and an agile run's counts into the cycles agile paging
+//     eliminates (Σ F_Vi·CE_i).
 //   - Step 2 (BadgerTrap): a log of TLB misses with their per-miss walk
 //     classification, from which the fraction of misses served at each
 //     agile switch level (F_Ni, paper Table VI) is derived.
@@ -20,8 +21,22 @@ import (
 	"io"
 
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/vmm"
 	"agilepaging/internal/workload"
 )
+
+// AvoidedCycles computes Σ F_Vi·CE_i from the VM exits by cause of a
+// shadow run and an agile run of the same workload: the cycles of the
+// interventions agile paging eliminated, valued with the cost model.
+func AvoidedCycles(shadow, agile [vmm.NumTrapKinds]uint64, costs vmm.CostModel) uint64 {
+	var cycles uint64
+	for k := range shadow {
+		if shadow[k] > agile[k] {
+			cycles += (shadow[k] - agile[k]) * costs.Cycles[k]
+		}
+	}
+	return cycles
+}
 
 const (
 	opMagic   = uint32(0x41504f31) // "APO1"

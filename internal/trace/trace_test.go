@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"agilepaging/internal/pagetable"
+	"agilepaging/internal/telemetry"
 	"agilepaging/internal/vmm"
-	"agilepaging/internal/walker"
 	"agilepaging/internal/workload"
 )
 
@@ -44,17 +44,16 @@ func TestOpsBadMagic(t *testing.T) {
 
 func TestMissLogObserverAndSummary(t *testing.T) {
 	var l MissLog
-	obs := l.Observer()
-	obs(0x1000, false, false, walker.Result{Refs: 4, NestedLevels: 0})
-	obs(0x2000, true, false, walker.Result{Refs: 8, NestedLevels: 1})
-	obs(0x3000, false, false, walker.Result{Refs: 20, NestedLevels: 4})
-	obs(0x4000, true, true, walker.Result{Refs: 24, NestedLevels: 4, GptrTranslated: true})
+	l.Record(telemetry.WalkEvent{VA: 0x1000, Refs: 4, NestedLevels: 0})
+	l.Record(telemetry.WalkEvent{VA: 0x2000, Refs: 8, NestedLevels: 1, Write: true})
+	l.Record(telemetry.WalkEvent{VA: 0x3000, Refs: 20, NestedLevels: 4})
+	l.Record(telemetry.WalkEvent{VA: 0x4000, Refs: 24, NestedLevels: 4, FullNested: true, Write: true, Retry: true})
 	s := l.Summary()
 	if s.Total != 4 {
 		t.Fatalf("total = %d", s.Total)
 	}
-	// The observer must carry the access's write bit into the records (it
-	// was silently dropped before) and the retry marker alongside it.
+	// Record must carry the access's write bit into the records and the
+	// retry marker alongside it.
 	if s.Writes != 2 || s.Retries != 1 {
 		t.Errorf("writes/retries = %d/%d, want 2/1", s.Writes, s.Retries)
 	}
@@ -124,22 +123,18 @@ func TestEmptySummaries(t *testing.T) {
 	}
 }
 
-func TestTrapLogAvoidedCycles(t *testing.T) {
-	shadow := &TrapLog{}
-	agile := &TrapLog{}
-	obs := shadow.Observer()
-	for i := 0; i < 10; i++ {
-		obs(vmm.TrapPTWrite)
-	}
-	obs(vmm.TrapTLBFlush)
-	agile.Counts[vmm.TrapPTWrite] = 2
-	agile.Counts[vmm.TrapShadowFill] = 5 // agile can have *more* of a kind
+func TestAvoidedCycles(t *testing.T) {
+	var shadow, agile [vmm.NumTrapKinds]uint64
+	shadow[vmm.TrapPTWrite] = 10
+	shadow[vmm.TrapTLBFlush] = 1
+	agile[vmm.TrapPTWrite] = 2
+	agile[vmm.TrapShadowFill] = 5 // agile can have *more* of a kind
 	costs := vmm.DefaultCostModel()
 	want := 8*costs.Cycles[vmm.TrapPTWrite] + 1*costs.Cycles[vmm.TrapTLBFlush]
 	if got := AvoidedCycles(shadow, agile, costs); got != want {
 		t.Errorf("AvoidedCycles = %d, want %d", got, want)
 	}
-	if shadow.Total() != 11 {
-		t.Errorf("Total = %d", shadow.Total())
+	if got := AvoidedCycles(agile, agile, costs); got != 0 {
+		t.Errorf("AvoidedCycles(same, same) = %d, want 0", got)
 	}
 }

@@ -103,12 +103,3 @@ type Stats struct {
 	// PagesDeduped counts content-based sharing merges (paper §V).
 	PagesDeduped uint64
 }
-
-// TotalTraps sums all trap counts.
-func (s Stats) TotalTraps() uint64 {
-	var n uint64
-	for _, v := range s.Traps {
-		n += v
-	}
-	return n
-}

@@ -95,8 +95,6 @@ type VM struct {
 	// guest root gPAs whose shadow context can be installed without a trap.
 	ctxCache []uint64
 
-	observer func(TrapKind)
-
 	// frames memoizes the host frames behind guest page-table pages for
 	// software accesses to guest page tables (see FrameFor).
 	frames frameMemo
@@ -198,7 +196,6 @@ func (vm *VM) Reset(cfg Config) error {
 	clear(vm.ctxs)
 	vm.current = nil
 	vm.ctxCache = vm.ctxCache[:0]
-	vm.observer = nil
 	vm.stats = Stats{}
 	return nil
 }
@@ -220,17 +217,10 @@ func (vm *VM) Stats() Stats { return vm.stats }
 // ResetStats zeroes the VMM counters.
 func (vm *VM) ResetStats() { vm.stats = Stats{} }
 
-// SetTrapObserver installs a callback invoked on every VM exit — the
-// analog of the paper's instrumented trace-cmd/KVM tracing (§VI step 1).
-func (vm *VM) SetTrapObserver(fn func(TrapKind)) { vm.observer = fn }
-
 // trap charges one VM exit of the given kind.
 func (vm *VM) trap(kind TrapKind) {
 	vm.stats.Traps[kind]++
 	vm.stats.TrapCycles += vm.cfg.Costs.Cycles[kind]
-	if vm.observer != nil {
-		vm.observer(kind)
-	}
 }
 
 // AllocGPA allocates one naturally-aligned guest-physical page of the given

@@ -671,19 +671,16 @@ func TestTrapKindStringsAndStats(t *testing.T) {
 			t.Errorf("TrapKind(%d).String() = %q", int(k), k.String())
 		}
 	}
-	var s Stats
-	s.Traps[TrapPTWrite] = 3
-	s.Traps[TrapTLBFlush] = 2
-	if s.TotalTraps() != 5 {
-		t.Errorf("TotalTraps = %d", s.TotalTraps())
-	}
 	vm, _ := newTestVM(t, walker.ModeShadow)
 	vm.trap(TrapPTWrite)
+	if vm.Stats().Traps[TrapPTWrite] != 1 {
+		t.Errorf("pt-write traps = %d, want 1", vm.Stats().Traps[TrapPTWrite])
+	}
 	if vm.Stats().TrapCycles != DefaultCostModel().Cycles[TrapPTWrite] {
 		t.Error("trap cycles not charged")
 	}
 	vm.ResetStats()
-	if vm.Stats().TotalTraps() != 0 {
+	if vm.Stats() != (Stats{}) {
 		t.Error("ResetStats")
 	}
 }
@@ -773,8 +770,6 @@ func TestAccessorsAndObserver(t *testing.T) {
 	if vm.Config().Technique != walker.ModeAgile {
 		t.Error("Config")
 	}
-	var seen []TrapKind
-	vm.SetTrapObserver(func(k TrapKind) { seen = append(seen, k) })
 	ctx, err := vm.NewProcess(4)
 	if err != nil {
 		t.Fatal(err)
@@ -791,9 +786,12 @@ func TestAccessorsAndObserver(t *testing.T) {
 	if vm.Current() != ctx {
 		t.Error("first process should be current")
 	}
+	before := vm.Stats().Traps
 	ctx.GuestTLBFlush(0, true) // agile full flush with shadow ambitions: traps
-	if len(seen) != 1 || seen[0] != TrapTLBFlush {
-		t.Errorf("observer saw %v", seen)
+	want := before
+	want[TrapTLBFlush]++
+	if got := vm.Stats().Traps; got != want {
+		t.Errorf("traps after one flush = %v, want %v", got, want)
 	}
 	// SetOracle with a nil-free custom oracle is honored during fills.
 	ctx.SetOracle(alwaysNested{})

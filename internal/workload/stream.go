@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sync"
-
 	"agilepaging/internal/memo"
 	"agilepaging/internal/pagetable"
 )
@@ -18,17 +16,14 @@ import (
 // stream's chunks are published as they are encoded, so a Reader can start
 // replaying the head of the stream while the tail is still generating.
 // Late arrivals attach to the already-published chunks. Methods that need
-// stream totals (Len, Accesses, Ops, AccessBoundary) block until
-// generation completes.
+// stream totals (Len, Accesses, PackedBytes, Ops) block until generation
+// completes.
 //
 // Concurrency contract: all methods are safe for concurrent use, but each
 // consumer must take its own Reader.
 type Stream struct {
 	name string
 	ps   *packedStream
-
-	mu         sync.Mutex
-	boundaries map[int]int // memoized AccessBoundary results
 }
 
 // Name identifies the workload the stream was generated from.
@@ -77,66 +72,6 @@ func (s *Stream) Ops() []Op {
 	}
 }
 
-// Replay returns a fresh cursor over the materialized stream for Generator
-// consumers (tests; replay paths should use Reader).
-func (s *Stream) Replay() *FromOps { return NewFromOps(s.name, s.Ops()) }
-
-// AccessBoundary returns the index just past the n-th OpAccess op
-// (1-based), so ops[:boundary] executes exactly n accesses — the
-// warmup/measure split. n <= 0 returns 0; n beyond the stream returns
-// Len(). Results are memoized because sweeps ask for the same split on
-// every technique.
-func (s *Stream) AccessBoundary(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	s.ps.waitDone()
-	if n >= s.ps.accesses {
-		return s.ps.numOps
-	}
-	s.mu.Lock()
-	if b, ok := s.boundaries[n]; ok {
-		s.mu.Unlock()
-		return b
-	}
-	s.mu.Unlock()
-
-	// Walk chunk metadata to the chunk containing the n-th access, then
-	// decode just that chunk to pin the exact op index.
-	boundary := s.ps.numOps
-	base, seen := 0, 0
-	for i := range s.ps.chunks {
-		ch := &s.ps.chunks[i]
-		if seen+ch.accesses >= n {
-			buf := chunkBufPool.Get().(*[PackedChunkOps]Op)
-			ops, err := decodeChunkInto(ch.data, buf, ch.ops)
-			if err != nil {
-				panic("workload: packed chunk failed to decode: " + err.Error())
-			}
-			for j := range ops {
-				if ops[j].Kind == OpAccess {
-					seen++
-					if seen == n {
-						boundary = base + j + 1
-						break
-					}
-				}
-			}
-			chunkBufPool.Put(buf)
-			break
-		}
-		seen += ch.accesses
-		base += ch.ops
-	}
-	s.mu.Lock()
-	if s.boundaries == nil {
-		s.boundaries = make(map[int]int)
-	}
-	s.boundaries[n] = boundary
-	s.mu.Unlock()
-	return boundary
-}
-
 // streamKey identifies one generated stream. Profile contains only value
 // fields, so the struct is comparable and two keys are equal exactly when
 // New would produce identical streams.
@@ -179,12 +114,6 @@ func StreamCacheInfo() StreamCacheSnapshot {
 	// A stream is shared from the moment its generation starts, so an ask
 	// that attaches to one still generating is a hit as well.
 	return StreamCacheSnapshot{Hits: s.Hits + s.Deduped, Misses: s.Misses, Bytes: s.Bytes, Streams: s.Entries}
-}
-
-// StreamCacheStats reports the counters of StreamCacheInfo as a tuple.
-func StreamCacheStats() (hits, misses uint64, bytes int64) {
-	info := StreamCacheInfo()
-	return info.Hits, info.Misses, info.Bytes
 }
 
 // ResetStreamCache drops every cached stream and rewinds all cache state —

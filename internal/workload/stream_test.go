@@ -47,11 +47,6 @@ func TestSharedStreamMatchesGenerator(t *testing.T) {
 	if s.Len() != len(want) {
 		t.Errorf("Len() = %d, want %d", s.Len(), len(want))
 	}
-	// Replay must walk the identical sequence.
-	got := Collect(s.Replay(), -1)
-	if !reflect.DeepEqual(want, got) {
-		t.Error("Replay() sequence differs")
-	}
 }
 
 // TestStreamReaderChunks pins the Reader contract: chunks of at most
@@ -159,14 +154,13 @@ func TestSharedStreamCacheHit(t *testing.T) {
 	if SharedStream(prof, pagetable.Size2M, 500, 1) == a {
 		t.Error("different page size shared a stream")
 	}
-	hits, misses, _ := StreamCacheStats()
-	if hits != 1 || misses != 3 {
-		t.Errorf("stats = %d hits / %d misses, want 1/3", hits, misses)
+	if info := StreamCacheInfo(); info.Hits != 1 || info.Misses != 3 {
+		t.Errorf("stats = %d hits / %d misses, want 1/3", info.Hits, info.Misses)
 	}
 	// The budget is charged when generation completes (observing a
 	// completed stream implies consistent statistics).
 	a.PackedBytes()
-	if _, _, bytes := StreamCacheStats(); bytes <= 0 {
+	if bytes := StreamCacheInfo().Bytes; bytes <= 0 {
 		t.Errorf("cache bytes = %d after generation, want > 0", bytes)
 	}
 	// Normalization: Processes/Threads 0 and 1 are the same workload.
@@ -189,7 +183,7 @@ func TestSharedStreamBudgetZeroDisables(t *testing.T) {
 	if !reflect.DeepEqual(a.Ops(), b.Ops()) {
 		t.Error("private streams differ for identical parameters")
 	}
-	if _, _, bytes := StreamCacheStats(); bytes != 0 {
+	if bytes := StreamCacheInfo().Bytes; bytes != 0 {
 		t.Errorf("disabled cache holds %d bytes, want 0", bytes)
 	}
 }
@@ -207,8 +201,7 @@ func TestStreamCacheEviction(t *testing.T) {
 	a.PackedBytes()
 	s2 := SharedStream(prof, pagetable.Size4K, 2000, 2) // evicts a when charged
 	s2.PackedBytes()
-	_, _, bytes := StreamCacheStats()
-	if bytes > one {
+	if bytes := StreamCacheInfo().Bytes; bytes > one {
 		t.Errorf("cache bytes %d exceed budget %d after eviction", bytes, one)
 	}
 	if SharedStream(prof, pagetable.Size4K, 2000, 1) == a {
@@ -220,13 +213,13 @@ func TestStreamCacheEviction(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		SharedStream(prof, pagetable.Size4K, 2000, seed).PackedBytes()
 	}
-	if hits, misses, _ := StreamCacheStats(); hits != 0 || misses != 8 {
-		t.Errorf("unbounded cache stats %d/%d, want 0 hits / 8 misses", hits, misses)
+	if info := StreamCacheInfo(); info.Hits != 0 || info.Misses != 8 {
+		t.Errorf("unbounded cache stats %d/%d, want 0 hits / 8 misses", info.Hits, info.Misses)
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		SharedStream(prof, pagetable.Size4K, 2000, seed)
 	}
-	if hits, _, _ := StreamCacheStats(); hits != 8 {
+	if hits := StreamCacheInfo().Hits; hits != 8 {
 		t.Errorf("unbounded cache evicted: %d hits on re-request, want 8", hits)
 	}
 }
@@ -275,69 +268,8 @@ func TestSharedStreamConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d got a different stream instance", i)
 		}
 	}
-	hits, misses, _ := StreamCacheStats()
-	if misses != 1 || hits != goroutines-1 {
-		t.Errorf("stats = %d hits / %d misses, want %d/1 (single generation)", hits, misses, goroutines-1)
-	}
-}
-
-func TestAccessBoundary(t *testing.T) {
-	freshCache(t, DefaultStreamCacheBytes)
-	prof := streamProfile("boundary")
-	s := SharedStream(prof, pagetable.Size4K, 1000, 5)
-	if got := s.AccessBoundary(0); got != 0 {
-		t.Errorf("AccessBoundary(0) = %d, want 0", got)
-	}
-	if got := s.AccessBoundary(-3); got != 0 {
-		t.Errorf("AccessBoundary(-3) = %d, want 0", got)
-	}
-	if got := s.AccessBoundary(s.Accesses() + 10); got != s.Len() {
-		t.Errorf("AccessBoundary(beyond) = %d, want Len %d", got, s.Len())
-	}
-	for _, n := range []int{1, 7, 100, s.Accesses() / 2, s.Accesses()} {
-		b := s.AccessBoundary(n)
-		seen := 0
-		for _, op := range s.Ops()[:b] {
-			if op.Kind == OpAccess {
-				seen++
-			}
-		}
-		if seen != n {
-			t.Errorf("AccessBoundary(%d) = %d covers %d accesses", n, b, seen)
-		}
-		if b > 0 && s.Ops()[b-1].Kind != OpAccess {
-			t.Errorf("AccessBoundary(%d): op %d is %v, want the n-th access itself", n, b-1, s.Ops()[b-1].Kind)
-		}
-		// Memoized second ask must agree.
-		if again := s.AccessBoundary(n); again != b {
-			t.Errorf("AccessBoundary(%d) memo = %d, first answer %d", n, again, b)
-		}
-	}
-}
-
-// TestAccessBoundaryAcrossChunks exercises splits on streams long enough
-// that the boundary lands in a middle chunk and exactly at chunk edges.
-func TestAccessBoundaryAcrossChunks(t *testing.T) {
-	freshCache(t, DefaultStreamCacheBytes)
-	prof := streamProfile("boundary-chunks")
-	s := SharedStream(prof, pagetable.Size4K, 3*PackedChunkOps, 5)
-	ops := s.Ops()
-	cuts := []int{1, PackedChunkOps - 1, PackedChunkOps, PackedChunkOps + 1,
-		2 * PackedChunkOps, s.Accesses() / 2, s.Accesses()}
-	for _, n := range cuts {
-		b := s.AccessBoundary(n)
-		seen := 0
-		for _, op := range ops[:b] {
-			if op.Kind == OpAccess {
-				seen++
-			}
-		}
-		if seen != n {
-			t.Errorf("AccessBoundary(%d) = %d covers %d accesses", n, b, seen)
-		}
-		if ops[b-1].Kind != OpAccess {
-			t.Errorf("AccessBoundary(%d): boundary op is %v", n, ops[b-1].Kind)
-		}
+	if info := StreamCacheInfo(); info.Misses != 1 || info.Hits != goroutines-1 {
+		t.Errorf("stats = %d hits / %d misses, want %d/1 (single generation)", info.Hits, info.Misses, goroutines-1)
 	}
 }
 
