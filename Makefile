@@ -36,10 +36,11 @@ test:
 # race exercises the concurrency-sensitive packages under the race
 # detector: the sweep runner itself, the refactored experiment drivers,
 # the simulator core they drive, the memo store and its two clients (the
-# report cache and the shared stream cache). CI's Race step runs this
-# target, so the package list lives here only.
+# report cache and the shared stream cache), and the facade, whose
+# Scenario caches its op digest under a lock that concurrent Runs share.
+# CI's Race step runs this target, so the package list lives here only.
 race:
-	$(GO) test -race ./internal/sweep ./internal/experiments ./internal/cpu ./internal/diffcheck ./internal/repcache ./internal/memo ./internal/workload
+	$(GO) test -race ./internal/sweep ./internal/experiments ./internal/cpu ./internal/diffcheck ./internal/repcache ./internal/memo ./internal/workload .
 
 # faults runs the fault-injection suite — panic recovery, CollectAll error
 # policy, cancellation attribution, and disk-cache integrity across

@@ -445,3 +445,45 @@ func BenchmarkFigure5SweepWarm(b *testing.B) {
 		sweepOnce()
 	}
 }
+
+// BenchmarkScenarioBuild records a churn-sized script (~450k ops: two
+// processes, access bursts between context switches, a COW snapshot and a
+// munmap/mmap pair every tenth burst), the set-up cost a Scenario user
+// pays before the first Run. Build with -benchmem: B/op is the op log's
+// footprint plus any copying it does while growing.
+func BenchmarkScenarioBuild(b *testing.B) {
+	const (
+		heap     = uint64(0x4000_0000)
+		region   = uint64(0x8000_0000)
+		pages    = 8192
+		bursts   = 450
+		perBurst = 1000
+	)
+	b.ReportAllocs()
+	var ops int
+	for i := 0; i < b.N; i++ {
+		s := NewScenario().AddProcess(1)
+		for pid := 0; pid < 2; pid++ {
+			s.Switch(pid).Map(pid, heap, pages<<12, Page4K).Populate(pid, heap)
+		}
+		s.Map(0, region, 256<<12, Page4K)
+		va := uint64(1)
+		for burst := 0; burst < bursts; burst++ {
+			pid := burst % 2
+			s.Switch(pid)
+			for k := 0; k < perBurst; k++ {
+				va = va*6364136223846793005 + 1442695040888963407
+				if k%4 == 0 {
+					s.Write(pid, heap+(va>>40)%pages<<12)
+				} else {
+					s.Touch(pid, heap+(va>>40)%pages<<12)
+				}
+			}
+			if burst%10 == 0 {
+				s.Snapshot(0, region).Unmap(0, region).Map(0, region, 256<<12, Page4K)
+			}
+		}
+		ops = s.Len()
+	}
+	b.ReportMetric(float64(ops), "ops")
+}

@@ -25,9 +25,9 @@
 // Keys (KeyFor, KeyForOps) are a sha256 over a canonical binary encoding of
 // the inputs: fixed-width little-endian words for numbers and bools, float
 // bit patterns, length-prefixed strings, structs and arrays in declaration
-// order. Pointer, map, slice, func, interface, chan, unsafe.Pointer and
-// uintptr fields have no process-independent value and are refused with a
-// panic naming the field. Keys print as 32 hex characters, which also name
+// order; KeyForOps takes its op list as a DigestOps digest. Pointer, map,
+// slice, func, interface, chan, unsafe.Pointer and uintptr fields have no
+// process-independent value and are refused with a panic naming the field. Keys print as 32 hex characters, which also name
 // the disk tier's files.
 //
 // Two tiers:
@@ -64,7 +64,9 @@ import (
 // keyFormatVersion invalidates every key when the key derivation itself
 // changes shape. It is hashed into each key. Version 2 replaced the %#v
 // text rendering with the binary encoding below, so report files written
-// by version-1 builds are never looked up again (orphaned misses).
+// by version-1 builds are never looked up again (orphaned misses). Scenario
+// keys changed kind byte, 'o' to 's', when they began to hash an op digest
+// instead of the ops; their old files are orphaned the same way.
 const keyFormatVersion = 2
 
 // keyTypeDigest fingerprints the field names and types of everything a key
@@ -112,50 +114,70 @@ func KeyFor(cfg cpu.Config, prof workload.Profile, accesses, warmup int, seed in
 	return keyString(sha256.Sum256(b))
 }
 
-// opBytes is the encoded size of one op in KeyForOps: seven 8-byte words
+// opBytes is the encoded size of one op in DigestOps: seven 8-byte words
 // and a flag byte.
 const opBytes = 7*8 + 1
+
+// OpsDigest is the content digest of a fixed op list (see DigestOps).
+type OpsDigest [sha256.Size]byte
+
+// DigestOps hashes an op list, given as consecutive blocks, into the digest
+// KeyForOps keys on. Only the ops and their order count: how the list is
+// cut into blocks does not change the digest.
+//
+// The op count comes first, then each op as fixed-width little-endian
+// words (Kind, PID, Core, VA, Len, Size, N) and one flag byte (Write,
+// Fetch), written into a stack buffer. A full buffer is hashed and the
+// next one starts with that digest, so a list of any length hashes with
+// no per-op work beyond the encoding and no allocation.
+func DigestOps(blocks ...[]workload.Op) OpsDigest {
+	n := 0
+	for _, ops := range blocks {
+		n += len(ops)
+	}
+	var buf [4096]byte
+	b := appendWord(buf[:0], uint64(n))
+	for _, ops := range blocks {
+		for i := range ops {
+			if len(b)+opBytes > len(buf) {
+				sum := sha256.Sum256(b)
+				b = append(buf[:0], sum[:]...)
+			}
+			op := &ops[i]
+			var flags byte
+			if op.Write {
+				flags |= 1
+			}
+			if op.Fetch {
+				flags |= 2
+			}
+			b = appendWord(b, uint64(op.Kind))
+			b = appendWord(b, uint64(op.PID))
+			b = appendWord(b, uint64(op.Core))
+			b = appendWord(b, op.VA)
+			b = appendWord(b, op.Len)
+			b = appendWord(b, uint64(op.Size))
+			b = appendWord(b, uint64(op.N))
+			b = append(b, flags)
+		}
+	}
+	return sha256.Sum256(b)
+}
 
 // KeyForOps derives the content key of a fixed-op-stream cell — a scenario
 // replay, where the caller supplies the exact op list rather than a
 // generated profile. The key covers the normalized machine configuration,
-// the name and every op verbatim, so two scenarios are cache-equal exactly
-// when they replay the same ops on the same machine.
-//
-// Each op is encoded as fixed-width little-endian words (Kind, PID, Core,
-// VA, Len, Size, N) and one flag byte (Write, Fetch) into a stack buffer.
-// A full buffer is hashed and the next one starts with that digest, so a
-// script of any length hashes with no per-op work beyond the encoding and
-// no allocation beyond the key string.
-func KeyForOps(cfg cpu.Config, name string, ops []workload.Op) string {
+// the name and the op list's DigestOps digest, so two scenarios are
+// cache-equal exactly when they replay the same ops on the same machine.
+// A caller replaying one list under many configurations hashes the ops
+// once and pays only this fixed-size encoding per configuration.
+func KeyForOps(cfg cpu.Config, name string, ops OpsDigest) string {
 	cfg = cfg.Normalized()
-	var buf [4096]byte
-	b := appendKeyHeader(buf[:0], 'o')
+	var buf [1024]byte
+	b := appendKeyHeader(buf[:0], 's')
 	b = appendCanonical(b, reflect.ValueOf(&cfg).Elem())
 	b = appendString(b, name)
-	b = appendWord(b, uint64(len(ops)))
-	for i := range ops {
-		if len(b)+opBytes > len(buf) {
-			sum := sha256.Sum256(b)
-			b = append(buf[:0], sum[:]...)
-		}
-		op := &ops[i]
-		var flags byte
-		if op.Write {
-			flags |= 1
-		}
-		if op.Fetch {
-			flags |= 2
-		}
-		b = appendWord(b, uint64(op.Kind))
-		b = appendWord(b, uint64(op.PID))
-		b = appendWord(b, uint64(op.Core))
-		b = appendWord(b, op.VA)
-		b = appendWord(b, op.Len)
-		b = appendWord(b, uint64(op.Size))
-		b = appendWord(b, uint64(op.N))
-		b = append(b, flags)
-	}
+	b = append(b, ops[:]...)
 	return keyString(sha256.Sum256(b))
 }
 

@@ -128,14 +128,46 @@ func opsScript(n int) []workload.Op {
 	return ops
 }
 
+// TestKeyForPinned pins KeyFor's output for two cells to the literals it
+// produced before scenario keys moved to op digests: cell keys name the
+// disk tier's files, so they must not change unless keyFormatVersion does.
+func TestKeyForPinned(t *testing.T) {
+	mcf, ok := workload.ProfileByName("mcf")
+	if !ok {
+		t.Fatal("no mcf profile")
+	}
+	for _, tc := range []struct {
+		name string
+		key  string
+		want string
+	}{
+		{"sample", KeyFor(sampleConfig(), sampleProfile(), 1000, 500, 42), "891de4e8bdf74241c6d06dddf78aea97"},
+		{"mcf agile 4K", KeyFor(cpu.DefaultConfig(walker.ModeAgile, pagetable.Size4K), mcf, 130_000, 10_000, 42),
+			"45a31075ca9d28e5b26bef25edd93382"},
+	} {
+		if tc.key != tc.want {
+			t.Errorf("%s: KeyFor = %s, want %s", tc.name, tc.key, tc.want)
+		}
+	}
+}
+
+// keyForOps keys a flat op list the way a scenario replay does.
+func keyForOps(cfg cpu.Config, name string, ops []workload.Op) string {
+	return KeyForOps(cfg, name, DigestOps(ops))
+}
+
 func TestKeyForOpsDistinguishesInputs(t *testing.T) {
 	cfg := sampleConfig()
 	// 200 ops span several hash chunks, so the perturbed op at index 150
 	// sits past the first chunk boundary.
 	ops := opsScript(200)
-	base := KeyForOps(cfg, "s", ops)
-	if again := KeyForOps(cfg, "s", opsScript(200)); again != base {
+	base := keyForOps(cfg, "s", ops)
+	if again := keyForOps(cfg, "s", opsScript(200)); again != base {
 		t.Fatalf("identical scripts built twice: keys %s and %s", base, again)
+	}
+	// The digest covers the op list, not how it is cut into blocks.
+	if DigestOps(ops[:150], nil, ops[150:]) != DigestOps(ops) {
+		t.Fatal("splitting the op list into blocks changed its digest")
 	}
 
 	seen := map[string]string{}
@@ -153,7 +185,7 @@ func TestKeyForOpsDistinguishesInputs(t *testing.T) {
 		t.Helper()
 		p := opsScript(200)
 		edit(&p[150])
-		add(name, KeyForOps(cfg, "s", p))
+		add(name, keyForOps(cfg, "s", p))
 	}
 	perturb("Kind", func(op *workload.Op) { op.Kind = workload.OpMunmap })
 	perturb("PID", func(op *workload.Op) { op.PID += 7 })
@@ -167,15 +199,17 @@ func TestKeyForOpsDistinguishesInputs(t *testing.T) {
 
 	swapped := opsScript(200)
 	swapped[150], swapped[151] = swapped[151], swapped[150]
-	add("swap two ops", KeyForOps(cfg, "s", swapped))
-	add("drop last op", KeyForOps(cfg, "s", ops[:len(ops)-1]))
-	add("name", KeyForOps(cfg, "t", ops))
+	add("swap two ops", keyForOps(cfg, "s", swapped))
+	add("drop last op", keyForOps(cfg, "s", ops[:len(ops)-1]))
+	add("name", keyForOps(cfg, "t", ops))
 	c := cfg
 	c.Technique = 2
-	add("technique", KeyForOps(c, "s", ops))
+	add("technique", keyForOps(c, "s", ops))
+	// A scenario key never equals a cell key, whatever the inputs.
+	add("cell key", KeyFor(cfg, sampleProfile(), 200, 0, 0))
 }
 
-// KeyForOps encodes workload.Op by hand, field by field. A field added to
+// DigestOps encodes workload.Op by hand, field by field. A field added to
 // Op (or renamed or retyped) must be added to that encoding too, or two
 // scripts differing only in it would share a key; this test fails first.
 func TestKeyForOpsCoversOpFields(t *testing.T) {
@@ -188,7 +222,7 @@ func TestKeyForOpsCoversOpFields(t *testing.T) {
 		got = append(got, f.Name+" "+f.Type.Kind().String())
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("workload.Op fields = %q, KeyForOps encodes %q: update KeyForOps and this list together", got, want)
+		t.Fatalf("workload.Op fields = %q, DigestOps encodes %q: update DigestOps and this list together", got, want)
 	}
 }
 
@@ -237,19 +271,27 @@ func TestKeyTypesAreCanonical(t *testing.T) {
 }
 
 // TestKeyForOpsAllocsConstant pins the cost model of scenario keys: the op
-// encoding allocates nothing per op, so a long script costs no more
-// allocations than a short one.
+// digest allocates nothing, per op or at all, so a long script costs no
+// more allocations than a short one, and the key over a digest allocates
+// only its string.
 func TestKeyForOpsAllocsConstant(t *testing.T) {
 	cfg := sampleConfig()
 	short, long := opsScript(10), opsScript(100_000)
-	shortAllocs := testing.AllocsPerRun(20, func() { keySink = KeyForOps(cfg, "s", short) })
-	longAllocs := testing.AllocsPerRun(3, func() { keySink = KeyForOps(cfg, "s", long) })
-	if shortAllocs != longAllocs || longAllocs > 2 {
-		t.Fatalf("KeyForOps allocs: %v for 10 ops, %v for 100k ops; want equal and <= 2", shortAllocs, longAllocs)
+	shortAllocs := testing.AllocsPerRun(20, func() { digestSink = DigestOps(short) })
+	longAllocs := testing.AllocsPerRun(3, func() { digestSink = DigestOps(long[:50_000], long[50_000:]) })
+	if shortAllocs != 0 || longAllocs != 0 {
+		t.Fatalf("DigestOps allocs: %v for 10 ops, %v for 100k ops; want 0", shortAllocs, longAllocs)
+	}
+	d := DigestOps(long)
+	if keyAllocs := testing.AllocsPerRun(20, func() { keySink = KeyForOps(cfg, "s", d) }); keyAllocs > 1 {
+		t.Fatalf("KeyForOps allocs: %v, want <= 1 (the key string)", keyAllocs)
 	}
 }
 
-var keySink string
+var (
+	keySink    string
+	digestSink OpsDigest
+)
 
 func BenchmarkKeyFor(b *testing.B) {
 	cfg := cpu.DefaultConfig(walker.ModeAgile, pagetable.Size4K)
@@ -260,14 +302,26 @@ func BenchmarkKeyFor(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyForOps keys a script the size of a churn scenario (~400k ops).
-func BenchmarkKeyForOps(b *testing.B) {
-	cfg := cpu.DefaultConfig(walker.ModeAgile, pagetable.Size4K)
+// BenchmarkDigestOps hashes a script the size of a churn scenario (~400k
+// ops), the once-per-op-list cost of a scenario key.
+func BenchmarkDigestOps(b *testing.B) {
 	ops := opsScript(400_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		keySink = KeyForOps(cfg, "scenario", ops)
+		digestSink = DigestOps(ops)
+	}
+}
+
+// BenchmarkKeyForOps keys one configuration of an already-digested
+// script, the per-replay cost of a scenario key.
+func BenchmarkKeyForOps(b *testing.B) {
+	cfg := cpu.DefaultConfig(walker.ModeAgile, pagetable.Size4K)
+	d := DigestOps(opsScript(400_000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = KeyForOps(cfg, "scenario", d)
 	}
 }
 

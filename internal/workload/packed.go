@@ -75,9 +75,8 @@ type packState struct {
 // packedChunk is one encoded run of up to PackedChunkOps ops. data is
 // immutable once the chunk is published.
 type packedChunk struct {
-	data     []byte
-	ops      int
-	accesses int // OpAccess count within the chunk
+	data []byte
+	ops  int
 }
 
 // appendUvarint appends v in LEB128 form.
@@ -266,10 +265,9 @@ var chunkBufPool = sync.Pool{New: func() any { return new([PackedChunkOps]Op) }}
 
 // chunkEncoder accumulates ops into the current chunk.
 type chunkEncoder struct {
-	data     []byte
-	ops      int
-	accesses int
-	st       packState
+	data []byte
+	ops  int
+	st   packState
 }
 
 // encodedBytesPerOpHint pre-sizes chunk buffers: typical mixes encode to
@@ -283,16 +281,12 @@ func (e *chunkEncoder) reset() {
 		e.data = e.data[:0]
 	}
 	e.ops = 0
-	e.accesses = 0
 	e.st = packState{}
 }
 
 func (e *chunkEncoder) add(op *Op) {
 	e.data = appendOp(e.data, op, &e.st)
 	e.ops++
-	if op.Kind == OpAccess {
-		e.accesses++
-	}
 }
 
 // take snapshots the current chunk (copying the bytes to an exact-size
@@ -300,7 +294,7 @@ func (e *chunkEncoder) add(op *Op) {
 func (e *chunkEncoder) take() packedChunk {
 	data := make([]byte, len(e.data))
 	copy(data, e.data)
-	ch := packedChunk{data: data, ops: e.ops, accesses: e.accesses}
+	ch := packedChunk{data: data, ops: e.ops}
 	e.reset()
 	return ch
 }
@@ -310,13 +304,12 @@ func (e *chunkEncoder) take() packedChunk {
 // the generator appends chunks as they are encoded and marks done when the
 // stream is complete.
 type packedStream struct {
-	mu       sync.Mutex
-	cond     sync.Cond
-	chunks   []packedChunk
-	done     bool
-	numOps   int
-	accesses int
-	bytes    int64 // total encoded bytes across chunks
+	mu     sync.Mutex
+	cond   sync.Cond
+	chunks []packedChunk
+	done   bool
+	numOps int
+	bytes  int64 // total encoded bytes across chunks
 }
 
 func newPackedStream() *packedStream {
@@ -330,7 +323,6 @@ func (ps *packedStream) publish(ch packedChunk) {
 	ps.mu.Lock()
 	ps.chunks = append(ps.chunks, ch)
 	ps.numOps += ch.ops
-	ps.accesses += ch.accesses
 	ps.bytes += int64(len(ch.data))
 	ps.cond.Broadcast()
 	ps.mu.Unlock()

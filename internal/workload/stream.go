@@ -16,8 +16,7 @@ import (
 // stream's chunks are published as they are encoded, so a Reader can start
 // replaying the head of the stream while the tail is still generating.
 // Late arrivals attach to the already-published chunks. Methods that need
-// stream totals (Len, Accesses, PackedBytes, Ops) block until generation
-// completes.
+// stream totals (Len, PackedBytes, Ops) block until generation completes.
 //
 // Concurrency contract: all methods are safe for concurrent use, but each
 // consumer must take its own Reader.
@@ -37,14 +36,6 @@ func (s *Stream) Reader() *StreamReader { return &StreamReader{ps: s.ps} }
 func (s *Stream) Len() int {
 	s.ps.waitDone()
 	return s.ps.numOps
-}
-
-// Accesses reports the number of OpAccess ops in the stream (steady-phase
-// plus burst accesses — the count run drivers split warmup windows on),
-// blocking until generation completes.
-func (s *Stream) Accesses() int {
-	s.ps.waitDone()
-	return s.ps.accesses
 }
 
 // PackedBytes reports the encoded in-memory footprint of the stream's

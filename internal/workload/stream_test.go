@@ -35,15 +35,6 @@ func TestSharedStreamMatchesGenerator(t *testing.T) {
 	if !reflect.DeepEqual(want, s.Ops()) {
 		t.Fatal("SharedStream ops differ from a fresh generator's")
 	}
-	accesses := 0
-	for _, op := range want {
-		if op.Kind == OpAccess {
-			accesses++
-		}
-	}
-	if s.Accesses() != accesses {
-		t.Errorf("Accesses() = %d, want %d", s.Accesses(), accesses)
-	}
 	if s.Len() != len(want) {
 		t.Errorf("Len() = %d, want %d", s.Len(), len(want))
 	}
